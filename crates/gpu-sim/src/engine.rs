@@ -966,7 +966,7 @@ impl<'a> Engine<'a> {
 
     /// Step `w`, then *run ahead*: as long as the warp's next step lands
     /// strictly before every pending event, keep stepping it inline instead
-    /// of a heap push/pop round-trip per instruction. Strict `<` means no
+    /// of an event-queue push/pop per instruction. Strict `<` means no
     /// equal-time event can be overtaken, so FIFO tie-breaking — and hence
     /// byte-identical replay — is preserved. Before each inline step the
     /// warp's generation is bumped exactly as `schedule_warp` would, so any
@@ -2565,8 +2565,19 @@ impl<'a> Engine<'a> {
                 for lane in iter_lanes(group) {
                     max_ns = max_ns.max(self.eval(w, lane, ns));
                 }
+                // The operand is kernel data: a sleep past the end of the
+                // picosecond timeline fails the launch instead of wrapping.
+                let wake = max_ns
+                    .checked_mul(1_000)
+                    .and_then(|ps| start.0.checked_add(ps))
+                    .ok_or_else(|| {
+                        SimError::ProgramError(format!(
+                            "kernel {:?}: nanosleep of {max_ns} ns overflows the simulated clock",
+                            self.launch.kernel.name
+                        ))
+                    })?;
                 self.advance_pcs(w, group, pc);
-                Ok(Step::Ready(start + Ps::from_ns(max_ns)))
+                Ok(Step::Ready(Ps(wake)))
             }
             ReadClock(dst) => {
                 let start = self.charge_sched(w);

@@ -308,6 +308,26 @@ fn nanosleep_takes_the_lanes_maximum() {
 }
 
 #[test]
+fn nanosleep_past_the_timeline_fails_the_launch() {
+    // After a 1 ns sleep, u64::MAX / 500 ns (about 2 * u64::MAX ps) cannot
+    // be converted to ps, and u64::MAX / 1000 ns can but not added to the
+    // issue time. Neither wake can be represented, so the launch must fail
+    // rather than wake in the past.
+    for ns in [u64::MAX / 500, u64::MAX / 1000] {
+        let mut sys = GpuSystem::single(v100(1));
+        let mut b = KernelBuilder::new("sleep-overflow");
+        b.push(Instr::Nanosleep(Imm(1)));
+        b.push(Instr::Nanosleep(Imm(ns)));
+        b.exit();
+        let e = sys.run_plain(&GridLaunch::single(b.build(0), 1, 32, vec![]));
+        assert!(
+            matches!(&e, Err(SimError::ProgramError(m)) if m.contains("nanosleep")),
+            "{ns} ns: {e:?}"
+        );
+    }
+}
+
+#[test]
 fn exit_in_divergent_branch_retires_lanes() {
     // Half the warp exits early; the other half keeps working.
     let mut sys = GpuSystem::single(v100(1));

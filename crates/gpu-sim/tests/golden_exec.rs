@@ -3,9 +3,12 @@
 //! Each line pins the `ExecReport` `{duration, instrs_executed, warps_run}`
 //! plus digests of every output buffer, the instruction trace and the
 //! syncprof report (or of the error, for a launch that must fail). The first
-//! eight cases are canonical sync chains spanning every barrier scope (tile /
+//! nine cases are canonical sync chains spanning every barrier scope (tile /
 //! block / grid / multi-grid), both calibrated architectures, and 1-SM as
-//! well as full-chip grids. The rest reach the warp paths those never do:
+//! well as full-chip grids. The 8-GPU multi-grid chain keeps 5,120 warps'
+//! wakes pending in the event queue at once, and its memory digest holds
+//! every thread's elapsed cycles, so it pins the order of each wake in a
+//! deep queue. The rest reach the warp paths those never do:
 //! divergent branches and their reconvergence, partial exits, tail warps,
 //! block waves that recycle register files, spin loops under the armed
 //! watchdog and profiler, and a watchdog report naming stuck PCs.
@@ -31,6 +34,7 @@ v100-1sm-tile-chain: duration=719531 instrs=70 warps=1 mem=4615ee820e3a4ee5 trac
 v100-full-block-chain: duration=486181 instrs=14080 warps=640 mem=136a58ef3383c325 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-full-grid-chain: duration=6599493 instrs=6400 warps=640 mem=d23e8c6b75034565 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-dgx1-mgrid-x2-chain: duration=27133489 instrs=1280 warps=128 mem=d56e1f4004dfc325 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-dgx1-mgrid-x8-chain: duration=97394793 instrs=51200 warps=5120 mem=52a40db38e251e65 trace=7d2ccb9f74c0b976 profile=669b18c6d2d9c95b
 p100-1sm-tile-chain: duration=168206 instrs=70 warps=1 mem=78de57f38c4c9b25 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 p100-full-block-chain: duration=3938617 instrs=9856 warps=448 mem=645da4fc335fc325 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 p100-full-grid-chain: duration=7686160 instrs=4480 warps=448 mem=622c2125989ec825 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
@@ -222,6 +226,18 @@ fn cases() -> Vec<Case> {
             16,
             128,
         ),
+        Case {
+            opts: traced(),
+            ..chain(
+                "v100-dgx1-mgrid-x8-chain",
+                v100.clone(),
+                NodeTopology::dgx1_v100(),
+                (0..8).collect(),
+                (SyncOp::MultiGrid, 4),
+                80,
+                256,
+            )
+        },
         chain(
             "p100-1sm-tile-chain",
             sms(p100.clone(), 1),

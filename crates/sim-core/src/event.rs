@@ -1,39 +1,93 @@
 //! Deterministic discrete-event queue.
 //!
-//! Events are ordered by time; ties are broken by insertion sequence number so
-//! a simulation replays identically regardless of heap internals.
+//! Events pop in time order, and events at equal times pop in the order they
+//! were pushed, so a simulation replays identically from run to run.
 //!
-//! The heap is hand-rolled and compares *keys only* — the payload needs no
-//! `Ord` (the old implementation wrapped events in an always-`Equal` slot to
-//! satisfy `BinaryHeap`, which worked but made every comparison walk a tuple
-//! and made `peek` awkward). Two layout choices matter for the simulator's
-//! pop-dominated access pattern:
+//! The queue is a *monotone radix queue*: the simulator only ever schedules
+//! at or after the time of the event it is processing, so every pending time
+//! is at least `last`, the time of the most recent pop. Pending events sit in
+//! 65 buckets keyed on how far their time is from `last`:
 //!
-//! * **4-ary** instead of binary: half the depth, and the up-to-four child
-//!   keys a sift-down inspects sit in one or two cache lines.
-//! * **Parallel arrays**: `(Ps, seq)` keys live in one dense `Vec` and
-//!   payloads in another, so sift comparisons never drag payload bytes
-//!   through the cache.
+//! * bucket 0 holds the events at exactly `last`;
+//! * bucket `b` in 1..=64 holds the events whose highest bit that differs
+//!   from `last` is bit `b − 1`.
+//!
+//! Every time in bucket `b` is smaller than every time in a higher bucket, so
+//! the earliest event lies in the lowest non-empty bucket. A per-bucket
+//! minimum and a non-empty bitmask make [`EventQueue::peek_time`] O(1), which
+//! matters because the engine's run-ahead fast path calls it after every warp
+//! step. When bucket 0 runs empty, `pop` moves `last` up to the minimum of
+//! the lowest non-empty bucket and re-links that bucket's entries relative to
+//! it; each lands in a strictly lower bucket, so an event is re-linked at most
+//! 64 times over its life and a pop costs amortized O(1) instead of a heap's
+//! O(log n). Buckets above the re-linked one keep their meaning, because the
+//! new `last` agrees with the old one at those bits.
+//!
+//! **Why no sequence number is needed.** An event's bucket is a function of
+//! its time and `last` alone, so events at equal times always share one
+//! bucket, and each bucket is a FIFO list. A push appends to the tail of its
+//! bucket, behind every earlier push at the same time. A re-link walks the
+//! bucket in list order and appends into lower buckets that are empty at that
+//! moment (bucket 0 is empty, and everything below the re-linked bucket is
+//! empty because it was the lowest non-empty one), so events at equal times
+//! keep their relative order. Bucket 0 therefore pops in push order.
+//!
+//! **A push earlier than `last`** breaks the monotone assumption. The engine
+//! schedules only at or after its current time, which is at least `last`, so
+//! it makes none; the queue still accepts one by moving `last` down to the
+//! new time and re-linking every pending entry relative to it, in O(n). The
+//! old buckets are walked one list at a time, and equal times come from one
+//! list, so FIFO order survives this too.
+//!
+//! **Memory.** Every event lives in one slab of `(time, next, payload)`
+//! entries; the per-bucket lists and a free list are threaded through `next`.
+//! Popped entries are reused before the slab grows, so its length is the
+//! high-water mark of pending events (for the engine's 12-byte events, 24
+//! bytes each), and empty buckets hold no memory of their own.
 
 use crate::time::Ps;
 
-/// Arity of the heap. Four keeps sibling keys within a cache line and halves
-/// tree depth versus a binary heap; pops dominate, so that trade wins.
-const D: usize = 4;
+/// Buckets: 0 for the reference time itself, then one per bit of a `u64`.
+const BUCKETS: usize = 65;
 
-/// A min-heap of timed events with FIFO tie-breaking.
+/// End of a list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a pending event linked into its bucket, or a free entry
+/// linked into the free list.
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    /// `(time, seq)` keys, heap-ordered; dense so sifts stay in-cache.
-    keys: Vec<(Ps, u64)>,
-    /// Payloads, kept index-parallel with `keys`; never compared.
-    payload: Vec<E>,
-    seq: u64,
+struct Slot<E> {
+    at: Ps,
+    next: u32,
+    /// `None` only while the entry is on the free list.
+    ev: Option<E>,
 }
 
+/// A priority queue of timed events with FIFO tie-breaking.
+#[derive(Debug)]
+pub struct EventQueue<E> {
+    slab: Vec<Slot<E>>,
+    /// First and last entry of each bucket's FIFO list; `tail[b]` and
+    /// `min[b]` are meaningful only while `head[b] != NIL`.
+    head: [u32; BUCKETS],
+    tail: [u32; BUCKETS],
+    /// Smallest time in each bucket (bucket 0's is `last`).
+    min: [Ps; BUCKETS],
+    /// Bit `b − 1` is set iff bucket `b` (1..=64) is non-empty.
+    nonempty: u64,
+    /// Reference time, never later than a pending event: the time of the
+    /// most recent pop, or of a push that went earlier.
+    last: Ps,
+    /// Head of the free list of slab entries.
+    free: u32,
+    len: usize,
+}
+
+/// The bucket of an event at `at` relative to the reference time `last`:
+/// 0 if equal, else one more than the index of the highest differing bit.
 #[inline]
-fn key_lt(a: (Ps, u64), b: (Ps, u64)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+fn bucket(at: Ps, last: Ps) -> usize {
+    (u64::BITS - (at.0 ^ last.0).leading_zeros()) as usize
 }
 
 impl<E> Default for EventQueue<E> {
@@ -45,33 +99,59 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            keys: Vec::new(),
-            payload: Vec::new(),
-            seq: 0,
+            slab: Vec::new(),
+            head: [NIL; BUCKETS],
+            tail: [NIL; BUCKETS],
+            min: [Ps::ZERO; BUCKETS],
+            nonempty: 0,
+            last: Ps::ZERO,
+            free: NIL,
+            len: 0,
         }
     }
 
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: Ps, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.keys.push((at, seq));
-        self.payload.push(event);
-        self.sift_up(self.keys.len() - 1);
+        if at < self.last {
+            self.rebase(at);
+        }
+        let i = if self.free != NIL {
+            let i = self.free;
+            let slot = &mut self.slab[i as usize];
+            self.free = slot.next;
+            slot.at = at;
+            slot.ev = Some(event);
+            i
+        } else {
+            assert!(self.slab.len() < NIL as usize, "too many pending events");
+            let i = self.slab.len() as u32;
+            self.slab.push(Slot {
+                at,
+                next: NIL,
+                ev: Some(event),
+            });
+            i
+        };
+        self.link(bucket(at, self.last), i);
+        self.len += 1;
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(Ps, E)> {
-        let n = self.keys.len();
-        if n == 0 {
-            return None;
+        if self.head[0] == NIL {
+            if self.nonempty == 0 {
+                return None;
+            }
+            self.relink_lowest();
         }
-        let key = self.keys.swap_remove(0);
-        let ev = self.payload.swap_remove(0);
-        if n > 2 {
-            self.sift_down(0);
-        }
-        Some((key.0, ev))
+        let i = self.head[0];
+        let slot = &mut self.slab[i as usize];
+        self.head[0] = slot.next;
+        let ev = slot.ev.take().expect("a linked slab entry holds its event");
+        slot.next = self.free;
+        self.free = i;
+        self.len -= 1;
+        Some((self.last, ev))
     }
 
     /// Remove and return the earliest event if it is scheduled strictly
@@ -82,73 +162,116 @@ impl<E> EventQueue<E> {
     /// leaves later events for the next round, after cross-shard messages
     /// (which can only land at or beyond the horizon) have been exchanged.
     pub fn pop_before(&mut self, horizon: Ps) -> Option<(Ps, E)> {
-        match self.keys.first() {
-            Some(&(at, _)) if at < horizon => self.pop(),
+        match self.peek_time() {
+            Some(at) if at < horizon => self.pop(),
             _ => None,
         }
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Ps> {
-        self.keys.first().map(|k| k.0)
-    }
-
-    /// The earliest pending event, without removing it.
-    pub fn peek(&self) -> Option<(Ps, &E)> {
-        self.keys.first().map(|k| (k.0, &self.payload[0]))
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.payload.clear();
-    }
-
+    /// Time of the earliest pending event, in O(1).
     #[inline]
-    fn swap(&mut self, i: usize, j: usize) {
-        self.keys.swap(i, j);
-        self.payload.swap(i, j);
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if !key_lt(self.keys[i], self.keys[parent]) {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
+    pub fn peek_time(&self) -> Option<Ps> {
+        if self.head[0] != NIL {
+            Some(self.last)
+        } else if self.nonempty != 0 {
+            Some(self.min[self.lowest()])
+        } else {
+            None
         }
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.keys.len();
+    /// The earliest pending event, without removing it. Unlike `peek_time`
+    /// this walks the lowest bucket's list when bucket 0 is empty.
+    pub fn peek(&self) -> Option<(Ps, &E)> {
+        let at = self.peek_time()?;
+        let b = if self.head[0] != NIL {
+            0
+        } else {
+            self.lowest()
+        };
+        let mut i = self.head[b];
         loop {
-            let first = D * i + 1;
-            if first >= n {
-                break;
+            let slot = &self.slab[i as usize];
+            if slot.at == at {
+                let ev = slot
+                    .ev
+                    .as_ref()
+                    .expect("a linked slab entry holds its event");
+                return Some((at, ev));
             }
-            let mut child = first;
-            let mut child_key = self.keys[first];
-            for c in first + 1..(first + D).min(n) {
-                let k = self.keys[c];
-                if key_lt(k, child_key) {
-                    child = c;
-                    child_key = k;
-                }
+            i = slot.next;
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn clear(&mut self) {
+        self.slab.clear();
+        self.head = [NIL; BUCKETS];
+        self.nonempty = 0;
+        self.last = Ps::ZERO;
+        self.free = NIL;
+        self.len = 0;
+    }
+
+    /// The lowest non-empty bucket above 0; `nonempty` must be non-zero.
+    #[inline]
+    fn lowest(&self) -> usize {
+        self.nonempty.trailing_zeros() as usize + 1
+    }
+
+    /// Append slab entry `i` to the tail of bucket `b`.
+    #[inline]
+    fn link(&mut self, b: usize, i: u32) {
+        let at = self.slab[i as usize].at;
+        self.slab[i as usize].next = NIL;
+        if self.head[b] == NIL {
+            self.head[b] = i;
+            self.min[b] = at;
+            if b > 0 {
+                self.nonempty |= 1 << (b - 1);
             }
-            if !key_lt(child_key, self.keys[i]) {
-                break;
-            }
-            self.swap(i, child);
-            i = child;
+        } else {
+            self.slab[self.tail[b] as usize].next = i;
+            self.min[b] = self.min[b].min(at);
+        }
+        self.tail[b] = i;
+    }
+
+    /// Bucket 0 is empty: advance `last` to the earliest pending time and
+    /// re-link the lowest non-empty bucket relative to it.
+    fn relink_lowest(&mut self) {
+        let b = self.lowest();
+        self.nonempty &= !(1 << (b - 1));
+        self.last = self.min[b];
+        let list = std::mem::replace(&mut self.head[b], NIL);
+        self.relink(list);
+    }
+
+    /// A push at `at < last`: move `last` down to `at` and re-link every
+    /// pending entry relative to it, one old bucket list at a time.
+    fn rebase(&mut self, at: Ps) {
+        let heads = std::mem::replace(&mut self.head, [NIL; BUCKETS]);
+        self.nonempty = 0;
+        self.last = at;
+        for list in heads {
+            self.relink(list);
+        }
+    }
+
+    /// Append the entries of the detached list starting at `i`, in list
+    /// order, to their buckets relative to `last`.
+    fn relink(&mut self, mut i: u32) {
+        while i != NIL {
+            let next = self.slab[i as usize].next;
+            self.link(bucket(self.slab[i as usize].at, self.last), i);
+            i = next;
         }
     }
 }
@@ -266,6 +389,80 @@ mod tests {
                 assert_eq!(got, model.remove(pos), "round {round} drain");
             }
             assert!(model.is_empty());
+        }
+
+        // Engine-shaped rounds on the same model: trains of wakes 2^20–2^27
+        // ps past the time of the last pop, equal-time bursts at it, pushes
+        // before it, and `clear()` with reuse halfway, with `peek_time`,
+        // `peek` and `len` checked after every operation and half the pops
+        // made through `pop_before`. The bases put the times in low and
+        // middle bits, across 2^63 and near the top of the range.
+        let stable_min = |model: &[(Ps, u64)]| {
+            let min_t = model.iter().map(|e| e.0).min()?;
+            model.iter().position(|e| e.0 == min_t)
+        };
+        let bases = [0, 1 << 40, (1 << 63) - (1 << 30), u64::MAX - (1 << 48)];
+        for (round, base) in bases.into_iter().cycle().take(16).enumerate() {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(Ps, u64)> = Vec::new();
+            let mut next_id = 0u64;
+            let mut now = Ps(base);
+            let mut early = 0;
+            for op in 0..3000 {
+                let times: Vec<Ps> = match rng() % 16 {
+                    0..=3 => {
+                        let ahead = (1 << (20 + rng() % 8)) + rng() % (1 << 20);
+                        let gap = rng() % 3;
+                        (0..=rng() % 4).map(|k| now + Ps(ahead + k * gap)).collect()
+                    }
+                    4..=5 => vec![now; 1 + rng() as usize % 4],
+                    6 if now > Ps::ZERO => {
+                        early += 1;
+                        vec![Ps(now.0 - 1 - rng() % now.0.min(1 << 24))]
+                    }
+                    _ => Vec::new(),
+                };
+                if op == 1500 {
+                    q.clear();
+                    model.clear();
+                } else if !times.is_empty() {
+                    for t in times {
+                        q.push(t, next_id);
+                        model.push((t, next_id));
+                        next_id += 1;
+                    }
+                } else {
+                    let head = stable_min(&model).map(|p| (p, model[p]));
+                    let (got, want) = if rng() % 2 == 0 {
+                        (q.pop(), head)
+                    } else {
+                        // One below, at or one past the earliest time: the
+                        // horizon is exclusive, so only the last pops.
+                        let t = head.map_or(now, |(_, e)| e.0).0;
+                        let horizon = Ps(t.saturating_sub(1) + rng() % 3);
+                        (q.pop_before(horizon), head.filter(|h| h.1 .0 < horizon))
+                    };
+                    assert_eq!(got, want.map(|(_, e)| e), "round {round} op {op}");
+                    if let Some((p, e)) = want {
+                        model.remove(p);
+                        now = e.0;
+                    }
+                }
+                let head = stable_min(&model).map(|p| model[p]);
+                assert_eq!(q.peek_time(), head.map(|e| e.0), "round {round} op {op}");
+                assert_eq!(
+                    q.peek().map(|(t, &id)| (t, id)),
+                    head,
+                    "round {round} op {op}"
+                );
+                assert_eq!(q.len(), model.len(), "round {round} op {op}");
+            }
+            while let Some(got) = q.pop() {
+                let pos = stable_min(&model).unwrap();
+                assert_eq!(got, model.remove(pos), "round {round} drain");
+            }
+            assert!(model.is_empty());
+            assert!(early > 0, "round {round} never pushed before the last pop");
         }
     }
 }
