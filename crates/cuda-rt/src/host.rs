@@ -364,11 +364,9 @@ impl HostSim {
             }
             d.device
         };
-        for (i, v) in vals.iter().enumerate() {
-            self.sys
-                .buffer_mut(dst)
-                .store(dst_off + i as u64, v.to_bits())?;
-        }
+        self.sys
+            .buffer_mut(dst)
+            .write(dst_off, vals.iter().map(|v| v.to_bits()))?;
         self.charge_pcie(thread, dev, vals.len() as u64 * 8);
         Ok(())
     }
@@ -392,12 +390,9 @@ impl HostSim {
             }
             s.device
         };
-        let mut out = Vec::with_capacity(words as usize);
-        for i in 0..words {
-            out.push(f64::from_bits(self.sys.buffer(src).load(src_off + i)?));
-        }
+        let out = self.sys.buffer(src).read(src_off, words)?;
         self.charge_pcie(thread, dev, words * 8);
-        Ok(out)
+        Ok(out.into_iter().map(f64::from_bits).collect())
     }
 
     /// Synchronous PCIe transfer: the thread waits for the stream to drain
@@ -445,10 +440,7 @@ impl HostSim {
             }
             (s.device, d.device)
         };
-        for i in 0..words {
-            let v = self.sys.buffer(src).load(src_off + i)?;
-            self.sys.buffer_mut(dst).store(dst_off + i, v)?;
-        }
+        self.sys.copy_words(dst, dst_off, src, src_off, words)?;
         // Stream-ordered start (default-stream semantics), but the transfer
         // itself runs on the copy engines: concurrent copies between
         // disjoint device pairs overlap, as on real hardware.

@@ -13,7 +13,7 @@
 
 use crate::fault::{self, FaultPlan};
 use crate::isa::{Instr, Operand, Program, Reg, ShflKind, ShflMode, Special, NUM_REGS};
-use crate::mem::{GlobalAgent, GlobalHazard, GlobalRaceCheck, Hazard, SharedMem};
+use crate::mem::{self, Buffer, GlobalAgent, GlobalHazard, GlobalRaceCheck, Hazard, SharedMem};
 use crate::profile::{BarrierEpoch, ProfileReport, SmProfile, SyncScope, EPOCH_CAP};
 use crate::system::{ExecReport, GpuSystem, GridLaunch};
 use gpu_arch::GpuArch;
@@ -2149,22 +2149,30 @@ impl<'a> Engine<'a> {
             LdGlobal { dst, buf, idx } => {
                 let start = self.charge_sched(w);
                 let warp_rank = self.warps[w as usize].rank as usize;
+                let local_dev = self.devs[warp_rank].device_id;
                 let mut remote = false;
                 let (rb, ri) = (self.alu_src(w, buf), self.alu_src(w, idx));
+                // A buffer operand that is the same for the whole warp is
+                // looked up and checked once; the lane loop only indexes it.
+                let uniform = match rb {
+                    AluSrc::Const(b) => {
+                        Some(checked_buffer(&self.sys.bufs, &self.shard, b as usize)?)
+                    }
+                    _ => None,
+                };
                 // Collect loads first, then write the register column, so the
                 // warp borrow doesn't alternate with the buffer borrow.
                 let mut vals = [0u64; WARP as usize];
                 for lane in iter_lanes(group) {
-                    let b = self.src_val(lane, rb) as usize;
-                    let i = self.src_val(lane, ri);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
-                    remote |= buffer.device != self.devs[warp_rank].device_id;
-                    vals[(lane & 31) as usize] = buffer.load(i)?;
+                    let buffer = match uniform {
+                        Some(buffer) => buffer,
+                        None => {
+                            let b = self.src_val(lane, rb) as usize;
+                            checked_buffer(&self.sys.bufs, &self.shard, b)?
+                        }
+                    };
+                    remote |= buffer.device != local_dev;
+                    vals[(lane & 31) as usize] = buffer.load(self.src_val(lane, ri))?;
                 }
                 // Take the checker out of `self` for the loop: grace_agent
                 // needs a fresh immutable borrow per lane.
@@ -2183,8 +2191,7 @@ impl<'a> Engine<'a> {
                 self.advance_pcs(w, group, pc);
                 let mut done = start + self.lat.dram;
                 if remote {
-                    let dev = self.devs[warp_rank].device_id;
-                    done += self.remote_flag_latency(dev);
+                    done += self.remote_flag_latency(local_dev);
                 }
                 Ok(Step::Ready(done))
             }
@@ -2208,37 +2215,42 @@ impl<'a> Engine<'a> {
                     n += 1;
                 }
                 let cluster = self.shard.as_ref().is_some_and(|s| s.sm.is_some());
-                for &(b, i, v) in &stores[..n] {
-                    if cluster {
-                        // Cluster shards hold len-only window placeholders for
-                        // store targets: log the store for the coordinator's
-                        // ordered merge-back, after replicating the exact
-                        // bounds check the dense buffer would have applied.
+                match rb {
+                    // A buffer operand that is the same for the whole warp is
+                    // looked up and checked once.
+                    AluSrc::Const(b) if !cluster => {
                         let buffer =
-                            self.sys.bufs.get(b).ok_or_else(|| {
-                                SimError::MemoryFault(format!("bad buffer id {b}"))
-                            })?;
-                        shard_guard(&self.shard, buffer.device)?;
-                        let len = buffer.len();
-                        if i >= len {
-                            return Err(SimError::MemoryFault(format!(
-                                "store at {i} beyond buffer of {len} words"
-                            )));
+                            checked_buffer_mut(&mut self.sys.bufs, &self.shard, b as usize)?;
+                        for &(_, i, v) in &stores[..n] {
+                            buffer.store(i, v)?;
                         }
-                        self.shard
-                            .as_mut()
-                            .expect("cluster shard")
-                            .store_log
-                            .push((start, b, i, v));
-                        continue;
                     }
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
-                    buffer.store(i, v)?;
+                    _ => {
+                        for &(b, i, v) in &stores[..n] {
+                            let buffer = checked_buffer(&self.sys.bufs, &self.shard, b)?;
+                            if cluster {
+                                // Cluster shards hold len-only window
+                                // placeholders for store targets: log the
+                                // store for the coordinator's ordered
+                                // merge-back, after replicating the exact
+                                // bounds check the dense buffer would have
+                                // applied.
+                                let len = buffer.len();
+                                if i >= len {
+                                    return Err(SimError::MemoryFault(format!(
+                                        "store at {i} beyond buffer of {len} words"
+                                    )));
+                                }
+                                self.shard
+                                    .as_mut()
+                                    .expect("cluster shard")
+                                    .store_log
+                                    .push((start, b, i, v));
+                            } else {
+                                self.sys.bufs[b].store(i, v)?;
+                            }
+                        }
+                    }
                 }
                 if let Some(mut g) = self.grace.take() {
                     g.at(pc);
@@ -2269,12 +2281,7 @@ impl<'a> Engine<'a> {
                     let v = f64::from_bits(self.eval(w, lane, val));
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     let old = f64::from_bits(buffer.load(i)?);
                     buffer.store(i, (old + v).to_bits())?;
                     if let Some(d) = dst_old {
@@ -2304,12 +2311,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     let old = buffer.load(i)?;
                     let exchanged = old == c;
                     if exchanged {
@@ -2351,12 +2353,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, v)?;
                     if let Some(d) = dst_old {
@@ -2384,12 +2381,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, old.wrapping_add(v))?;
                     if let Some(d) = dst_old {
@@ -2416,12 +2408,7 @@ impl<'a> Engine<'a> {
                     let t = self.eval(w, lane, target);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     if buffer.load(i)? < t {
                         satisfied = false;
                     }
@@ -2461,12 +2448,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = self
-                        .sys
-                        .bufs
-                        .get_mut(b)
-                        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-                    shard_guard(&self.shard, buffer.device)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
                     buffer.store(i, v)?;
                 }
                 self.grace_sync();
@@ -2637,20 +2619,23 @@ impl<'a> Engine<'a> {
         let local_dev = self.devs[warp_rank].device_id;
         let mut total_elems = 0u64;
         let mut remote: Vec<usize> = Vec::new();
+        let (rd, ra, rb, rs, rk, rn) = (
+            self.alu_src(w, dst),
+            self.alu_src(w, a),
+            self.alu_src(w, b),
+            self.alu_src(w, st),
+            self.alu_src(w, stride),
+            self.alu_src(w, len),
+        );
         for lane in iter_lanes(group) {
-            let d = self.eval(w, lane, dst) as usize;
-            let ab = self.eval(w, lane, a) as usize;
-            let bb = self.eval(w, lane, b) as usize;
-            let s0 = self.eval(w, lane, st);
-            let k = self.eval(w, lane, stride).max(1);
-            let n = self.eval(w, lane, len);
+            let d = self.src_val(lane, rd) as usize;
+            let ab = self.src_val(lane, ra) as usize;
+            let bb = self.src_val(lane, rb) as usize;
+            let s0 = self.src_val(lane, rs);
+            let k = self.src_val(lane, rk).max(1);
+            let n = self.src_val(lane, rn);
             for &buf in &[d, ab, bb] {
-                let buffer = self
-                    .sys
-                    .bufs
-                    .get(buf)
-                    .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {buf}")))?;
-                shard_guard(&self.shard, buffer.device)?;
+                let buffer = checked_buffer(&self.sys.bufs, &self.shard, buf)?;
                 if n > buffer.len() {
                     return Err(SimError::MemoryFault(format!(
                         "combine cap {n} beyond buffer of {} words",
@@ -2661,14 +2646,7 @@ impl<'a> Engine<'a> {
                     remote.push(buffer.device);
                 }
             }
-            let mut i = s0;
-            while i < n {
-                let va = f64::from_bits(self.sys.bufs[ab].load(i)?);
-                let vb = f64::from_bits(self.sys.bufs[bb].load(i)?);
-                self.sys.bufs[d].store(i, (va + vb).to_bits())?;
-                i += k;
-                total_elems += 1;
-            }
+            total_elems += mem::combine(&mut self.sys.bufs, d, ab, bb, s0, k, n)?;
         }
         self.advance_pcs(w, group, pc);
         // Traffic: one read per source, one write to dst.
@@ -3172,12 +3150,7 @@ impl<'a> Engine<'a> {
             let s = self.src_val(lane, rs);
             let k = self.src_val(lane, rk).max(1);
             let n = self.src_val(lane, rn);
-            let buffer = self
-                .sys
-                .bufs
-                .get(b)
-                .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-            shard_guard(&self.shard, buffer.device)?;
+            let buffer = checked_buffer(&self.sys.bufs, &self.shard, b)?;
             if buffer.device != self.devs[warp_rank].device_id {
                 remote_dev = Some(buffer.device);
             }
@@ -3242,16 +3215,12 @@ impl<'a> Engine<'a> {
             let k = self.eval(w, lane, stride).max(1);
             let n = self.eval(w, lane, len);
             let tid = warp_in_block * WARP + lane;
+            let cap = n.min(self.blocks[block].smem.len() as u64);
             let mut sum = 0.0f64;
-            let mut i = s;
-            let smem_len = self.blocks[block].smem.len() as u64;
-            let cap = n.min(smem_len);
-            let mut cnt = 0u64;
-            while i < cap {
+            for i in mem::strided(s, k, cap) {
                 sum += f64::from_bits(self.blocks[block].smem.load(tid, i, false)?);
-                i += k;
-                cnt += 1;
             }
+            let cnt = mem::strided_count(s, k, cap);
             total_elems += cnt;
             max_iters = max_iters.max(cnt);
             let old = f64::from_bits(self.reg(w, lane, acc));
@@ -3504,22 +3473,41 @@ fn reg_rows(program: &Program) -> usize {
     rows
 }
 
-/// Reject a cross-device data access from a shard: a shard owns only its
-/// rank's buffers (other slots are placeholders), so another device's
-/// memory cannot be simulated locally. The multi-grid barrier — the one
-/// cross-device channel with a known minimum latency — is coordinated
-/// explicitly instead. A free function over the `shard` field so it can run
-/// while a buffer borrow of `sys` is live.
+/// Buffer `b` named by a kernel's global-memory operand; a bad id faults.
+/// A shard also rejects a cross-device access: it owns only its rank's
+/// buffers (other slots are placeholders), so another device's memory cannot
+/// be simulated locally. The multi-grid barrier — the one cross-device
+/// channel with a known minimum latency — is coordinated explicitly instead.
+/// A free function over the `bufs` and `shard` fields so it can run while
+/// other engine fields are borrowed.
 #[inline]
-fn shard_guard(shard: &Option<ShardState>, device: usize) -> SimResult<()> {
+fn checked_buffer<'b>(
+    bufs: &'b [Buffer],
+    shard: &Option<ShardState>,
+    b: usize,
+) -> SimResult<&'b Buffer> {
+    let buffer = bufs
+        .get(b)
+        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
     match shard {
-        Some(s) if device != s.device_id => Err(SimError::InvalidLaunch(format!(
-            "sharded execution: rank {} (device {}) accessed memory on device {device}; \
+        Some(s) if buffer.device != s.device_id => Err(SimError::InvalidLaunch(format!(
+            "sharded execution: rank {} (device {}) accessed memory on device {}; \
              cross-device data access needs the single-queue engine (shards = 0)",
-            s.rank, s.device_id
+            s.rank, s.device_id, buffer.device
         ))),
-        _ => Ok(()),
+        _ => Ok(buffer),
     }
+}
+
+/// [`checked_buffer`], for writing.
+#[inline]
+fn checked_buffer_mut<'b>(
+    bufs: &'b mut [Buffer],
+    shard: &Option<ShardState>,
+    b: usize,
+) -> SimResult<&'b mut Buffer> {
+    checked_buffer(bufs, shard, b)?;
+    Ok(&mut bufs[b])
 }
 
 /// Iterate the set lanes of a mask, ascending (bit-clearing walk — cost is

@@ -107,7 +107,7 @@ impl Buffer {
         }
         Ok(match &self.data {
             BufData::Dense(v) => v[idx as usize],
-            BufData::Linear { a, b, .. } => (a + b * idx as f64).to_bits(),
+            BufData::Linear { a, b, .. } => linear_word(*a, *b, idx),
         })
     }
 
@@ -121,20 +121,72 @@ impl Buffer {
                 self.len()
             )));
         }
-        if let BufData::Linear { len, .. } = &self.data {
+        self.words_mut()?[idx as usize] = val;
+        Ok(())
+    }
+
+    /// The words of a dense buffer, for writing: a synthetic buffer is
+    /// densified first, within [`Buffer::store`]'s size limit.
+    pub(crate) fn words_mut(&mut self) -> SimResult<&mut Vec<u64>> {
+        if let BufData::Linear { a, b, len } = self.data {
             const DENSIFY_LIMIT: u64 = 1 << 22;
-            if *len > DENSIFY_LIMIT {
+            if len > DENSIFY_LIMIT {
                 return Err(SimError::MemoryFault(format!(
                     "store to synthetic buffer of {len} words (> {DENSIFY_LIMIT}) \
                      would materialize it"
                 )));
             }
-            let dense: Vec<u64> = (0..*len).map(|i| self.load(i).unwrap()).collect();
-            self.data = BufData::Dense(dense);
+            self.data = BufData::Dense((0..len).map(|i| linear_word(a, b, i)).collect());
         }
         match &mut self.data {
-            BufData::Dense(v) => v[idx as usize] = val,
+            BufData::Dense(v) => Ok(v),
             BufData::Linear { .. } => unreachable!(),
+        }
+    }
+
+    /// End of the word range `off..off + n`, if it lies inside the buffer.
+    pub(crate) fn range_end(&self, off: u64, n: u64) -> SimResult<u64> {
+        off.checked_add(n)
+            .filter(|&end| end <= self.len())
+            .ok_or_else(|| {
+                SimError::MemoryFault(format!(
+                    "{n} words at +{off} exceed buffer of {} words",
+                    self.len()
+                ))
+            })
+    }
+
+    /// Fill `out` with the words from `off` on; the caller has checked the
+    /// range.
+    pub(crate) fn read_into(&self, off: usize, out: &mut [u64]) {
+        match &self.data {
+            BufData::Dense(v) => out.copy_from_slice(&v[off..off + out.len()]),
+            BufData::Linear { a, b, .. } => {
+                for (i, w) in (off as u64..).zip(out) {
+                    *w = linear_word(*a, *b, i);
+                }
+            }
+        }
+    }
+
+    /// Words `off..off + n`, in order (f64 bits for synthetic buffers).
+    pub fn read(&self, off: u64, n: u64) -> SimResult<Vec<u64>> {
+        self.range_end(off, n)?;
+        let mut out = vec![0; n as usize];
+        self.read_into(off as usize, &mut out);
+        Ok(out)
+    }
+
+    /// Overwrite the words from `off` on with `vals`, in order. Writing
+    /// something to a synthetic buffer densifies it first, as
+    /// [`Buffer::store`] does; writing nothing leaves it synthetic.
+    pub fn write(&mut self, off: u64, vals: impl ExactSizeIterator<Item = u64>) -> SimResult<()> {
+        let end = self.range_end(off, vals.len() as u64)?;
+        if end > off {
+            let words = &mut self.words_mut()?[off as usize..end as usize];
+            for (w, v) in words.iter_mut().zip(vals) {
+                *w = v;
+            }
         }
         Ok(())
     }
@@ -144,36 +196,113 @@ impl Buffer {
     /// buffers; exact loop for dense ones.
     pub fn strided_sum(&self, start: u64, stride: u64, len_cap: u64) -> SimResult<(f64, u64)> {
         assert!(stride > 0, "stride must be positive");
-        let cap = len_cap.min(self.len());
         if len_cap > self.len() {
             return Err(SimError::MemoryFault(format!(
                 "stream cap {len_cap} beyond buffer of {} words",
                 self.len()
             )));
         }
-        if start >= cap {
+        let n = strided_count(start, stride, len_cap);
+        if n == 0 {
             return Ok((0.0, 0));
         }
-        let n = (cap - start).div_ceil(stride);
-        match &self.data {
+        let s = match &self.data {
             BufData::Dense(v) => {
-                let mut s = 0.0;
-                let mut i = start;
-                while i < cap {
-                    s += f64::from_bits(v[i as usize]);
-                    i += stride;
-                }
-                Ok((s, n))
+                strided(start, stride, len_cap).fold(0.0, |s, i| s + f64::from_bits(v[i as usize]))
             }
             BufData::Linear { a, b, .. } => {
                 // sum_{k=0}^{n-1} (a + b(start + k*stride))
                 //   = n*a + b*(n*start + stride*n(n-1)/2)
                 let nf = n as f64;
-                let s = nf * a + b * (nf * start as f64 + stride as f64 * nf * (nf - 1.0) / 2.0);
-                Ok((s, n))
+                nf * a + b * (nf * start as f64 + stride as f64 * nf * (nf - 1.0) / 2.0)
             }
+        };
+        Ok((s, n))
+    }
+}
+
+/// Word `idx` of the synthetic buffer `a + b * idx`, as f64 bits.
+fn linear_word(a: f64, b: f64, idx: u64) -> u64 {
+    (a + b * idx as f64).to_bits()
+}
+
+/// How many indices `start, start + stride, ...` lie below `cap`
+/// (`stride > 0`).
+pub(crate) fn strided_count(start: u64, stride: u64, cap: u64) -> u64 {
+    if start >= cap {
+        0
+    } else {
+        (cap - start).div_ceil(stride)
+    }
+}
+
+/// The indices `start, start + stride, ...` below `cap`, ascending. The
+/// count is fixed up front, so a stride taken from a kernel never wraps the
+/// index back over lower words.
+pub(crate) fn strided(start: u64, stride: u64, cap: u64) -> impl Iterator<Item = u64> {
+    (0..strided_count(start, stride, cap)).map(move |k| start + k * stride)
+}
+
+/// Where [`combine`] reads a source's words.
+enum Source<'a> {
+    /// The source is `dst`: read the words moved out of it.
+    Dst,
+    Dense(&'a [u64]),
+    Linear(f64, f64),
+}
+
+impl Source<'_> {
+    fn of(bufs: &[Buffer], id: usize, dst: usize) -> Source<'_> {
+        if id == dst {
+            return Source::Dst;
+        }
+        match &bufs[id].data {
+            BufData::Dense(v) => Source::Dense(v),
+            BufData::Linear { a, b, .. } => Source::Linear(*a, *b),
         }
     }
+
+    #[inline]
+    fn get(&self, dst: &[u64], i: usize) -> f64 {
+        f64::from_bits(match *self {
+            Source::Dst => dst[i],
+            Source::Dense(v) => v[i],
+            Source::Linear(a, b) => linear_word(a, b, i as u64),
+        })
+    }
+}
+
+/// `dst[i] = a[i] + b[i]` in f64 for `i = start, start + stride, ...` below
+/// `cap`, ascending, where `dst`, `a` and `b` index `bufs` and may name the
+/// same buffer. Returns the number of elements. The caller has checked
+/// `cap` against all three lengths.
+///
+/// `dst`'s words are moved out of its buffer for the loop and back after
+/// it; a source that is `dst` reads the moved words. Every element thus
+/// reads what a word-by-word `load`/`store` loop would, earlier writes
+/// included. A synthetic `dst` densifies before the first write, as on
+/// [`Buffer::store`].
+pub(crate) fn combine(
+    bufs: &mut [Buffer],
+    dst: usize,
+    a: usize,
+    b: usize,
+    start: u64,
+    stride: u64,
+    cap: u64,
+) -> SimResult<u64> {
+    let n = strided_count(start, stride, cap);
+    if n == 0 {
+        return Ok(0);
+    }
+    let mut out = std::mem::take(bufs[dst].words_mut()?);
+    let (sa, sb) = (Source::of(bufs, a, dst), Source::of(bufs, b, dst));
+    for i in strided(start, stride, cap) {
+        let i = i as usize;
+        out[i] = (sa.get(&out, i) + sb.get(&out, i)).to_bits();
+    }
+    bufs[dst].data = BufData::Dense(out);
+    Ok(n)
 }
 
 /// One shared-memory word with the paper-motivated visibility rule: a

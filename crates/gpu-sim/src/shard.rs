@@ -20,7 +20,7 @@
 //! latest arrival is itself no earlier than the round's base time `m`, so
 //! every release lands at or beyond the *next* round's horizon. Cross-device
 //! *memory* traffic has no such latency floor, so the engine rejects it under
-//! by-rank sharding (see `shard_guard` in `engine.rs`).
+//! by-rank sharding (see `checked_buffer` in `engine.rs`).
 //!
 //! For **SM-cluster** shards (single-device launches) the lookahead is the
 //! minimum intra-device cross-SM round trip — block-barrier convergence plus
@@ -254,7 +254,7 @@ fn placeholder(device: usize) -> Buffer {
 /// Move every buffer into the system of the shard whose device owns it;
 /// every other shard gets an empty placeholder at the same index so `BufId`s
 /// stay valid everywhere (touching a placeholder is impossible: the engine's
-/// `shard_guard` rejects cross-device access before any load/store).
+/// `checked_buffer` rejects cross-device access before any load/store).
 /// Buffers on devices outside the launch ride along in `orphans`. Returns
 /// `(owner shard per buffer, orphans, shard systems)`.
 #[allow(clippy::type_complexity)]

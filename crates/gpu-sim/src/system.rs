@@ -475,16 +475,54 @@ impl GpuSystem {
 
     /// Read back a buffer as f64 values.
     pub fn read_f64(&self, id: BufId) -> Vec<f64> {
-        let b = self.buffer(id);
-        (0..b.len())
-            .map(|i| f64::from_bits(b.load(i).unwrap()))
-            .collect()
+        self.read_u64(id).into_iter().map(f64::from_bits).collect()
     }
 
     /// Read back a buffer as raw words.
     pub fn read_u64(&self, id: BufId) -> Vec<u64> {
         let b = self.buffer(id);
-        (0..b.len()).map(|i| b.load(i).unwrap()).collect()
+        b.read(0, b.len()).expect("a whole buffer is in range")
+    }
+
+    /// Copy `n` words from `src` at word `src_off` to `dst` at word
+    /// `dst_off`, with the result of a word-by-word loop in ascending order.
+    /// That loop's result differs from a `memmove` in one case: a forward
+    /// copy inside one buffer whose ranges overlap repeats the first
+    /// `dst_off - src_off` words, because each read sees the words already
+    /// written. Both ranges are checked before anything is written; a
+    /// synthetic `dst` densifies first, as on [`Buffer::store`].
+    pub fn copy_words(
+        &mut self,
+        dst: BufId,
+        dst_off: u64,
+        src: BufId,
+        src_off: u64,
+        n: u64,
+    ) -> SimResult<()> {
+        let (d, s) = (dst.0 as usize, src.0 as usize);
+        self.bufs[s].range_end(src_off, n)?;
+        self.bufs[d].range_end(dst_off, n)?;
+        if n == 0 {
+            return Ok(());
+        }
+        let (src_off, dst_off, n) = (src_off as usize, dst_off as usize, n as usize);
+        let words = self.bufs[d].words_mut()?;
+        if s != d {
+            let mut out = std::mem::take(words);
+            self.bufs[s].read_into(src_off, &mut out[dst_off..dst_off + n]);
+            self.bufs[d].data = BufData::Dense(out);
+        } else if dst_off > src_off {
+            // Chunks no longer than the gap read only words that are final,
+            // which repeats the first `gap` words as the word loop does.
+            let gap = dst_off - src_off;
+            for at in (dst_off..dst_off + n).step_by(gap) {
+                let len = gap.min(dst_off + n - at);
+                words.copy_within(at - gap..at - gap + len, at);
+            }
+        } else {
+            words.copy_within(src_off..src_off + n, dst_off);
+        }
+        Ok(())
     }
 
     /// Does any rank's param list name a buffer on a different device?
@@ -758,6 +796,7 @@ impl GpuSystem {
 mod tests {
     use super::*;
     use crate::isa::KernelBuilder;
+    use crate::mem;
 
     fn null_kernel() -> Kernel {
         let mut b = KernelBuilder::new("null");
@@ -982,6 +1021,141 @@ mod tests {
         assert!(far > near);
         let local = sys.peer_copy_time(0, 0, 1 << 20);
         assert!(local < near);
+    }
+
+    /// A small dense or synthetic buffer, or a synthetic one just above the
+    /// densify limit, which faults on its first write.
+    fn random_buffer(rng: &mut sim_core::SmallRng) -> Buffer {
+        let data = match rng.below(5) {
+            0 => BufData::Linear {
+                a: rng.range_f64(-2.0, 2.0),
+                b: rng.range_f64(-0.5, 0.5),
+                len: rng.range_u64(1, 65),
+            },
+            1 => BufData::Linear {
+                a: 1.0,
+                b: 0.25,
+                len: (1 << 22) + 1,
+            },
+            _ => BufData::Dense(
+                (0..rng.range_u64(1, 65))
+                    .map(|_| rng.range_f64(-8.0, 8.0).to_bits())
+                    .collect(),
+            ),
+        };
+        Buffer { device: 0, data }
+    }
+
+    /// The word loop `mem::combine` replaces (without the stride wrap).
+    fn combine_by_words(
+        bufs: &mut [Buffer],
+        (d, a, b): (usize, usize, usize),
+        start: u64,
+        stride: u64,
+        cap: u64,
+    ) -> SimResult<u64> {
+        let (mut i, mut n) = (start, 0);
+        while i < cap {
+            let va = f64::from_bits(bufs[a].load(i)?);
+            let vb = f64::from_bits(bufs[b].load(i)?);
+            bufs[d].store(i, (va + vb).to_bits())?;
+            n += 1;
+            i = match i.checked_add(stride) {
+                Some(next) => next,
+                None => break,
+            };
+        }
+        Ok(n)
+    }
+
+    /// The word loop `GpuSystem::copy_words` replaces.
+    fn copy_by_words(
+        bufs: &mut [Buffer],
+        (d, doff): (usize, u64),
+        (s, soff): (usize, u64),
+        n: u64,
+    ) -> SimResult<()> {
+        for i in 0..n {
+            let v = bufs[s].load(soff + i)?;
+            bufs[d].store(doff + i, v)?;
+        }
+        Ok(())
+    }
+
+    /// Results compared as text, so two faults must carry the same message.
+    fn outcome<T: std::fmt::Debug>(r: SimResult<T>) -> String {
+        format!("{r:?}")
+    }
+
+    #[test]
+    fn bulk_helpers_match_the_word_loops() {
+        let mut rng = sim_core::SmallRng::seed_from_u64(0xb01c);
+        // (dst, a, b): all distinct, dst == a, dst == b, a == b, all one.
+        let aliasing = [(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)];
+        let mut faults = 0;
+        for case in 0..4000 {
+            let pool: Vec<Buffer> = (0..3).map(|_| random_buffer(&mut rng)).collect();
+            let ids = aliasing[case % aliasing.len()];
+            let min_len = [ids.0, ids.1, ids.2]
+                .iter()
+                .map(|&i| pool[i].len())
+                .min()
+                .unwrap();
+            let cap = rng.below(min_len.min(80) + 1);
+            let start = rng.below(cap + 4);
+            let strides = [
+                1,
+                2,
+                31,
+                32,
+                33,
+                u64::MAX,
+                u64::MAX - 1,
+                rng.range_u64(3, 40),
+            ];
+            let stride = strides[rng.below(strides.len() as u64) as usize];
+            let (mut bulk, mut words) = (pool.clone(), pool);
+            let got = mem::combine(&mut bulk, ids.0, ids.1, ids.2, start, stride, cap);
+            let want = combine_by_words(&mut words, ids, start, stride, cap);
+            faults += want.is_err() as u32;
+            let at = format!("case {case}: {ids:?} start={start} stride={stride} cap={cap}");
+            assert_eq!(outcome(got), outcome(want), "{at}");
+            assert_eq!(bulk, words, "{at}");
+        }
+
+        let (mut forward, mut backward) = (0, 0);
+        for case in 0..4000 {
+            let pool: Vec<Buffer> = (0..2).map(|_| random_buffer(&mut rng)).collect();
+            let (d, s) = if case % 2 == 0 { (0, 0) } else { (0, 1) };
+            let room = pool[d].len().min(pool[s].len()).min(80);
+            let n = rng.below(room + 1);
+            let doff = rng.below(pool[d].len().min(80) - n + 1);
+            let soff = rng.below(pool[s].len().min(80) - n + 1);
+            if s == d && n > 0 && soff < doff && doff < soff + n {
+                forward += 1;
+            }
+            if s == d && n > 0 && doff < soff && soff < doff + n {
+                backward += 1;
+            }
+            let mut sys = GpuSystem::single(GpuArch::v100());
+            sys.bufs = pool.clone();
+            let mut words = pool;
+            let got = sys.copy_words(BufId(d as u32), doff, BufId(s as u32), soff, n);
+            let want = copy_by_words(&mut words, (d, doff), (s, soff), n);
+            faults += want.is_err() as u32;
+            let at = format!("case {case}: {n} words {s}+{soff} -> {d}+{doff}");
+            assert_eq!(outcome(got), outcome(want), "{at}");
+            assert_eq!(sys.bufs, words, "{at}");
+        }
+        assert!(forward > 50 && backward > 50, "{forward} / {backward}");
+        assert!(faults > 100, "{faults} densify faults");
+
+        // Out of range: a fault before any word moves.
+        let mut sys = GpuSystem::single(GpuArch::v100());
+        let (a, b) = (sys.alloc_f64(0, &[1.0, 2.0]), sys.alloc(0, 4));
+        assert!(sys.copy_words(b, 3, a, 0, 2).is_err());
+        assert!(sys.copy_words(b, 0, a, 1, 2).is_err());
+        assert_eq!(sys.read_u64(b), vec![0; 4]);
     }
 
     /// Pins the axis-selection rules: the policy names a worker count, the

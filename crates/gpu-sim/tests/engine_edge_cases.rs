@@ -5,7 +5,7 @@ use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, ShflKind, ShflMode, Special};
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{fimm, GpuSystem, GridLaunch, RunOptions};
+use gpu_sim::{fimm, GpuSystem, GridLaunch, Kernel, RunOptions};
 use sim_core::SimError;
 
 /// Test-local shim keeping the old `run(&launch)` result shape on top of the
@@ -399,6 +399,88 @@ fn shared_memory_overflow_faults() {
     assert!(sys
         .run_plain(&GridLaunch::single(b.build(4), 1, 32, vec![]))
         .is_err());
+}
+
+/// A stride taken from the kernel near `u64::MAX` visits one element, like
+/// any stride that steps past the end: the loops must not wrap back over
+/// lower indices (release) or panic on the add (debug). Each case runs with
+/// both strides and must read the same values and the same duration.
+#[test]
+fn strided_loops_do_not_wrap() {
+    const VALS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
+    let run = |kernel: Kernel| {
+        let mut sys = GpuSystem::single(v100(1));
+        let a = sys.alloc_f64(0, &VALS);
+        let b = sys.alloc_f64(0, &[10.0, 20.0, 40.0, 80.0]);
+        let out = sys.alloc(0, 4);
+        let params = vec![a.0 as u64, b.0 as u64, out.0 as u64];
+        let report = sys
+            .run_plain(&GridLaunch::single(kernel, 1, 1, params))
+            .unwrap();
+        (sys.read_f64(out), report.duration)
+    };
+    let combine = |stride: u64| {
+        let mut b = KernelBuilder::new("combine");
+        b.push(Instr::MemCombine {
+            dst: Param(2),
+            a: Param(0),
+            b: Param(1),
+            start: Imm(2),
+            stride: Imm(stride),
+            len: Imm(4),
+        });
+        b.exit();
+        run(b.build(0))
+    };
+    // Streams from index 1 and stores the sum to out[0].
+    let stream = |stride: u64, shared: bool| {
+        let mut b = KernelBuilder::new("stream");
+        let acc = b.reg();
+        b.mov(acc, Imm(0));
+        if shared {
+            for (i, v) in VALS.iter().enumerate() {
+                b.push(Instr::StShared {
+                    addr: Imm(i as u64),
+                    val: fimm(*v),
+                    volatile: true,
+                    pred: None,
+                });
+            }
+            b.push(Instr::SmemStream {
+                acc,
+                start: Imm(1),
+                stride: Imm(stride),
+                len: Imm(4),
+                flops: 0,
+            });
+        } else {
+            b.push(Instr::MemStream {
+                acc,
+                buf: Param(0),
+                start: Imm(1),
+                stride: Imm(stride),
+                len: Imm(4),
+                flops: 0,
+                eff_permille: 1000,
+            });
+        }
+        b.push(Instr::StGlobal {
+            buf: Param(2),
+            idx: Imm(0),
+            val: Reg(acc),
+        });
+        b.exit();
+        run(b.build(if shared { 4 } else { 0 }))
+    };
+
+    let (dst, dur) = combine(u64::MAX);
+    assert_eq!(dst, vec![0.0, 0.0, 44.0, 0.0], "MemCombine");
+    assert_eq!(dur, combine(4).1, "MemCombine charges one element");
+    for shared in [false, true] {
+        let (out, dur) = stream(u64::MAX, shared);
+        assert_eq!(out[0], 2.0, "shared={shared}: one element, VALS[1]");
+        assert_eq!(dur, stream(4, shared).1, "shared={shared}: one element");
+    }
 }
 
 #[test]

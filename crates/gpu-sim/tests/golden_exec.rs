@@ -11,7 +11,13 @@
 //! deep queue. The rest reach the warp paths those never do:
 //! divergent branches and their reconvergence, partial exits, tail warps,
 //! block waves that recycle register files, spin loops under the armed
-//! watchdog and profiler, and a watchdog report naming stuck PCs.
+//! watchdog and profiler, and a watchdog report naming stuck PCs. The last
+//! six pin the dense-buffer data path on non-zero initial words: a 2-GPU
+//! `MemCombine` pull whose `dst` is also source `a` and whose `b` sits on
+//! the peer, a one-warp `MemCombine` whose lanes' ranges overlap, one whose
+//! buffers differ across the warp, a `MemStream` over a dense buffer, loads
+//! and stores whose buffer differs across the warp, and a warp-uniform load
+//! that runs past the buffer's end.
 //!
 //! Any engine refactor — event queue, warp state layout, scheduling fast
 //! paths — must leave every line byte-identical: these numbers are the
@@ -54,6 +60,12 @@ v100-mutex-chain-8-watchdog-profiled: duration=48897093 instrs=654 warps=12 mem=
 v100-spin-barrier-watchdog: duration=5354120 instrs=208 warps=8 mem=461901e66283be55 trace=669b18c6d2d9c95b profile=2ec7efb41bd53b40
 v100-flag-pingpong: duration=8439789 instrs=66 warps=2 mem=56e13ec3db4605a1 trace=66b0b168f3950fac profile=669b18c6d2d9c95b
 v100-split-livelock: error=Watchdog fddaf615b7b88613
+v100-dgx1-mgrid-x2-combine-pull: duration=3068292 instrs=288 warps=16 mem=e5eac5433d8e281f trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-combine-overlapping-lanes: duration=364210 instrs=2 warps=1 mem=76e02d657f11cdef trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-combine-lane-buffers: duration=373357 instrs=5 warps=1 mem=4734d2b01a80a478 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-dense-memstream: duration=356808 instrs=16 warps=4 mem=d68683b5f09c05bd trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-ldst-lane-buffers: duration=350611 instrs=14 warps=2 mem=f8841d2345e4d52d trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-uniform-load-past-end: error=MemoryFault 434a4998fc36faa7
 ";
 
 /// FNV-1a over a byte string: a stable digest for long artifacts.
@@ -77,9 +89,12 @@ struct Case {
     kernel: Kernel,
     grid_dim: u32,
     block_dim: u32,
-    /// Words of each zeroed buffer, allocated on every device in `devices`;
-    /// a device's buffer ids are its kernel params.
+    /// Words of each buffer, allocated on every device in `devices`; a
+    /// device's buffer ids are its kernel params.
     bufs: Vec<u64>,
+    /// Word `i` of buffer `id` before the launch, as `init(id, i)`; buffers
+    /// start zeroed without one.
+    init: Option<fn(u32, u64) -> u64>,
     opts: RunOptions,
 }
 
@@ -109,6 +124,7 @@ fn chain(
         grid_dim,
         block_dim,
         bufs: vec![grid_dim as u64 * block_dim as u64],
+        init: None,
         opts: RunOptions::new(),
     }
 }
@@ -133,6 +149,7 @@ fn single(
         grid_dim,
         block_dim,
         bufs,
+        init: None,
         opts,
     }
 }
@@ -181,6 +198,150 @@ fn split_livelock() -> Kernel {
     b.push(Instr::SyncTile { width: 32 });
     b.exit();
     b.build(0)
+}
+
+/// Every rank adds each rank's vector into its own scratch with grid-stride
+/// starts: the allreduce pull shape. Each device holds `[scratch, vector]`,
+/// so rank r's vector is buffer 2r + 1; `dst` is also source `a`, and `b`
+/// sits on the peer device for every other rank.
+fn combine_pull(len: u64) -> Kernel {
+    let mut b = KernelBuilder::new("combine-pull");
+    let r = b.reg();
+    let c = b.reg();
+    let peer = b.reg();
+    b.mov(r, Imm(0));
+    b.label("peers");
+    b.cmp_lt(c, Reg(r), Sp(Special::NumGpus));
+    b.bra_ifz(Reg(c), "out");
+    b.imul(peer, Reg(r), Imm(2));
+    b.iadd(peer, Reg(peer), Imm(1));
+    b.push(Instr::MemCombine {
+        dst: Param(0),
+        a: Param(0),
+        b: Reg(peer),
+        start: Sp(Special::GlobalTid),
+        stride: Sp(Special::GridThreads),
+        len: Imm(len),
+    });
+    b.iadd(r, Reg(r), Imm(1));
+    b.bra("peers");
+    b.label("out");
+    b.exit();
+    b.build(0)
+}
+
+/// `dst = dst + src` from `start = LaneId`, `stride = 1`: each lane's range
+/// overlaps the next lane's, so word i gains src[i] once per lane ≤ i, in
+/// lane order.
+fn combine_overlapping_lanes(len: u64) -> Kernel {
+    let mut b = KernelBuilder::new("combine-overlap");
+    b.push(Instr::MemCombine {
+        dst: Param(0),
+        a: Param(0),
+        b: Param(1),
+        start: Sp(Special::LaneId),
+        stride: Imm(1),
+        len: Imm(len),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// Even lanes set buffer 0 from buffer 1, odd lanes buffer 1 from buffer 0,
+/// each adding buffer 2, from `start = LaneId` with `stride = 1`: every lane
+/// reads what the lanes before it wrote.
+fn combine_lane_buffers(len: u64) -> Kernel {
+    let mut b = KernelBuilder::new("combine-lane-buffers");
+    let odd = b.reg();
+    let dst = b.reg();
+    let src = b.reg();
+    b.push(Instr::IAnd(odd, Sp(Special::LaneId), Imm(1)));
+    b.iadd(dst, Param(0), Reg(odd));
+    b.isub(src, Param(1), Reg(odd));
+    b.push(Instr::MemCombine {
+        dst: Reg(dst),
+        a: Reg(src),
+        b: Param(2),
+        start: Sp(Special::LaneId),
+        stride: Imm(1),
+        len: Imm(len),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// Grid-stride `MemStream` over a dense buffer; each thread stores its sum.
+fn dense_stream(len: u64) -> Kernel {
+    let mut b = KernelBuilder::new("dense-stream");
+    let acc = b.reg();
+    b.mov(acc, Imm(0));
+    b.push(Instr::MemStream {
+        acc,
+        buf: Param(0),
+        start: Sp(Special::GlobalTid),
+        stride: Sp(Special::GridThreads),
+        len: Imm(len),
+        flops: 1,
+        eff_permille: 1000,
+    });
+    b.push(Instr::StGlobal {
+        buf: Param(1),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(acc),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// Even lanes load from buffer 0 and store to buffer 1, odd lanes the
+/// reverse: the buffer operand is a register that differs across the warp.
+fn lane_buffers() -> Kernel {
+    let mut b = KernelBuilder::new("lane-buffers");
+    let odd = b.reg();
+    let from = b.reg();
+    let to = b.reg();
+    let x = b.reg();
+    b.push(Instr::IAnd(odd, Sp(Special::LaneId), Imm(1)));
+    b.iadd(from, Param(0), Reg(odd));
+    b.isub(to, Param(1), Reg(odd));
+    b.push(Instr::LdGlobal {
+        dst: x,
+        buf: Reg(from),
+        idx: Sp(Special::Tid),
+    });
+    b.iadd(x, Reg(x), Sp(Special::Tid));
+    b.push(Instr::StGlobal {
+        buf: Reg(to),
+        idx: Sp(Special::Tid),
+        val: Reg(x),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// A warp-uniform load whose lanes 12..31 index past the buffer's end: the
+/// error names the first failing lane's index.
+fn uniform_load_past_end() -> Kernel {
+    let mut b = KernelBuilder::new("load-past-end");
+    let i = b.reg();
+    let x = b.reg();
+    b.iadd(i, Sp(Special::Tid), Imm(20));
+    b.push(Instr::LdGlobal {
+        dst: x,
+        buf: Param(0),
+        idx: Reg(i),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// f64 words whose sums round differently in a different order.
+fn f64_words(id: u32, i: u64) -> u64 {
+    ((id + 1) as f64 * 0.3 + i as f64 * 0.1).to_bits()
+}
+
+fn int_words(id: u32, i: u64) -> u64 {
+    id as u64 * 1000 + i
 }
 
 fn cases() -> Vec<Case> {
@@ -402,12 +563,82 @@ fn cases() -> Vec<Case> {
         ),
         single(
             "v100-split-livelock",
-            sms(v100, 1),
+            sms(v100.clone(), 1),
             split_livelock(),
             2,
             64,
             vec![1],
             watchdog(),
+        ),
+        Case {
+            name: "v100-dgx1-mgrid-x2-combine-pull",
+            arch: sms(v100.clone(), 2),
+            topology: NodeTopology::dgx1_v100(),
+            devices: vec![0, 1],
+            kind: LaunchKind::CooperativeMultiDevice,
+            kernel: combine_pull(1000),
+            grid_dim: 4,
+            block_dim: 64,
+            bufs: vec![1000, 1000],
+            init: Some(f64_words),
+            opts: new(),
+        },
+        Case {
+            init: Some(f64_words),
+            ..single(
+                "v100-combine-overlapping-lanes",
+                sms(v100.clone(), 1),
+                combine_overlapping_lanes(48),
+                1,
+                32,
+                vec![48, 48],
+                new(),
+            )
+        },
+        Case {
+            init: Some(f64_words),
+            ..single(
+                "v100-combine-lane-buffers",
+                sms(v100.clone(), 1),
+                combine_lane_buffers(48),
+                1,
+                32,
+                vec![48, 48, 48],
+                new(),
+            )
+        },
+        Case {
+            init: Some(f64_words),
+            ..single(
+                "v100-dense-memstream",
+                sms(v100.clone(), 2),
+                dense_stream(1000),
+                2,
+                64,
+                vec![1000, 128],
+                new(),
+            )
+        },
+        Case {
+            init: Some(int_words),
+            ..single(
+                "v100-ldst-lane-buffers",
+                sms(v100.clone(), 1),
+                lane_buffers(),
+                1,
+                64,
+                vec![64, 64],
+                new(),
+            )
+        },
+        single(
+            "v100-uniform-load-past-end",
+            sms(v100, 1),
+            uniform_load_past_end(),
+            1,
+            32,
+            vec![32],
+            new(),
         ),
     ]
 }
@@ -424,6 +655,11 @@ fn prepare(c: &Case) -> (GpuSystem, GridLaunch, Vec<BufId>) {
                 .iter()
                 .map(|&words| {
                     let b = sys.alloc(d, words);
+                    if let Some(init) = c.init {
+                        for i in 0..words {
+                            sys.buffer_mut(b).store(i, init(b.0, i)).unwrap();
+                        }
+                    }
                     bufs.push(b);
                     b.0 as u64
                 })
