@@ -5,9 +5,10 @@
 //! repro all                   # run everything (slow but complete)
 //! repro table2 fig5 ...       # run specific artifacts
 //! repro --jobs 8 all          # run the registry (and inner sweeps) on 8 workers
-//! repro --shards 4 fig9       # drive each multi-device launch on 4 shard
+//! repro --shards 2 fig8       # drive each multi-device launch on 2 shard
 //!                             # workers (one discrete-event shard per rank;
-//!                             # artifacts are byte-identical at any value)
+//!                             # artifacts are byte-identical at any value;
+//!                             # single-device launches use the single queue)
 //! repro --out results all     # additionally write one .txt per artifact
 //! repro --check               # synchronization-hazard audit; exits nonzero
 //!                             # on any unsuppressed violation (the CI gate)
@@ -65,6 +66,9 @@ fn usage_and_list() {
          [--scorecard-gate PATH] [--bench] [--faults SEED] \
          [--profile NAME]... [all | list | <experiment>...]\n"
     );
+    println!("--shards N runs each multi-device launch on N rank workers; 0 (the default)");
+    println!("keeps the single queue, which single-device launches always use. Sharding");
+    println!("pays at --jobs 1, not when the sweep pool already fills the cores.\n");
     println!("artifacts land under the one --out DIR with fixed names:");
     println!("  experiments     DIR/<name>.txt");
     println!("  --profile NAME  DIR/<name>.profile.json, DIR/<name>.trace.json");

@@ -4,10 +4,11 @@
 //! byte-identical per launch; this test proves the property survives the
 //! whole reproduction stack — sweep scheduling, profile merging in plan
 //! order, and chrome-trace export — by running the figure9 (multi-device,
-//! sharded by rank), grid_sync (single-device, sharded by SM cluster), and
-//! fused_pipeline profile bundles across shard worker counts {0, 1, 2, 4, 7}
+//! sharded by rank) profile bundle across shard worker counts {0, 1, 2, 4, 7}
 //! and sweep jobs {1, 8} and byte-diffing every artifact against the
-//! single-queue serial baseline.
+//! single-queue serial baseline. The grid_sync and fused_pipeline bundles
+//! are single-device, so they always run on the single queue: they are the
+//! controls.
 //!
 //! One `#[test]` on purpose: both knobs (`gpu_sim::set_default_shards`,
 //! `Sweep::set_default_jobs`) are process-global and libtest runs tests

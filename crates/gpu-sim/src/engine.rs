@@ -379,39 +379,16 @@ pub(crate) struct Engine<'a> {
     window_limit: Ps,
 }
 
-/// Per-shard state of one shard of a sharded run: either one rank of a
-/// multi-device launch, or one SM cluster of a single-device launch.
+/// Per-shard state of one rank of a sharded run.
 struct ShardState {
     /// The one launch rank this engine owns.
     rank: u32,
     /// That rank's device id; any other device's memory is off-limits.
     device_id: usize,
-    /// `Some(cluster)` when this shard is one SM cluster of a single-device
-    /// launch: it simulates only the blocks resident on SMs `s` with
-    /// `s % clusters == cluster`, parks grid-barrier arrivals in
-    /// `grid_arrivals` for the coordinator, and defers global stores through
-    /// `store_log` (the cross-shard memory window protocol — see
-    /// [`crate::shard`]).
-    sm: Option<u32>,
-    /// Total cluster count of the run (`GpuArch::sm_cluster_count`); 0 in
-    /// by-rank mode.
-    clusters: u32,
     /// The rank's pending multi-grid arrival: local completion time, parked
     /// until the coordinator has seen every rank arrive and injects the
     /// release (quiescent rendezvous — see [`crate::shard`]).
     mgrid_arrival: Option<Ps>,
-    /// Cluster mode: parked grid/multi-grid barrier arrivals — `(firing
-    /// time, local convergence time, engine-global block index, is
-    /// multi-grid)` — drained by the coordinator at round boundaries and
-    /// replayed against its device-level L2 replica in the single queue's
-    /// deterministic `(firing time, block)` order.
-    grid_arrivals: Vec<(Ps, Ps, u32, bool)>,
-    /// Cluster mode: deferred global-memory stores `(issue time, buffer,
-    /// index, value)`. Stores are fire-and-forget in the timing model, so
-    /// deferring their data effect to the quiescent merge is exact; the
-    /// bounds check still runs at execution time against the owner's length
-    /// so error values match the single-queue engine byte for byte.
-    store_log: Vec<(Ps, usize, u64, u64)>,
 }
 
 /// Everything one shard contributes to the merged run artifacts, extracted
@@ -429,9 +406,6 @@ pub(crate) struct ShardParts {
     pub(crate) sm_rows: Vec<SmProfile>,
     pub(crate) epochs: Vec<BarrierEpoch>,
     pub(crate) epochs_dropped: u64,
-    /// Cluster mode: the shard's deferred global stores, applied to the
-    /// owning system's buffers by the coordinator in `(time, cluster)` order.
-    pub(crate) store_log: Vec<(Ps, usize, u64, u64)>,
 }
 
 /// Armed fault-injection state derived from a non-zero [`FaultPlan`].
@@ -640,34 +614,7 @@ impl<'a> Engine<'a> {
         self.shard = Some(ShardState {
             rank: rank as u32,
             device_id: self.launch.devices[rank],
-            sm: None,
-            clusters: 0,
             mgrid_arrival: None,
-            grid_arrivals: Vec::new(),
-            store_log: Vec::new(),
-        });
-        self
-    }
-
-    /// Restrict this engine to simulating the blocks resident on SM cluster
-    /// `cluster` (the SMs `s` with `s % clusters == cluster`) of a
-    /// single-device launch, as one shard of a cluster-sharded run (see
-    /// [`crate::shard`]): `setup` schedules only those SMs' blocks, global
-    /// stores defer through the store log, grid/multi-grid barrier arrivals
-    /// park in the cluster's outbox for the coordinator, and watchdog /
-    /// deadlock detection move to the coordinator's round boundaries exactly
-    /// as in rank-sharded mode.
-    pub(crate) fn sharded_by_cluster(mut self, cluster: u32, clusters: u32) -> Self {
-        debug_assert_eq!(self.launch.devices.len(), 1);
-        debug_assert!(cluster < clusters);
-        self.shard = Some(ShardState {
-            rank: 0,
-            device_id: self.launch.devices[0],
-            sm: Some(cluster),
-            clusters,
-            mgrid_arrival: None,
-            grid_arrivals: Vec::new(),
-            store_log: Vec::new(),
         });
         self
     }
@@ -838,76 +785,6 @@ impl<'a> Engine<'a> {
     pub(crate) fn inject_mgrid_release(&mut self, release: Ps) {
         let rank = self.shard.as_ref().expect("sharded engine").rank as usize;
         self.release_grid(rank, release, true);
-    }
-
-    // ----- SM-cluster shard protocol -------------------------------------------
-
-    /// Take the cluster's parked grid/multi-grid barrier arrivals
-    /// (`(firing time, local convergence time, block, is multi-grid)`).
-    pub(crate) fn take_grid_arrivals(&mut self) -> Vec<(Ps, Ps, u32, bool)> {
-        match &mut self.shard {
-            Some(s) if !s.grid_arrivals.is_empty() => std::mem::take(&mut s.grid_arrivals),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Replay one block's grid-barrier arrival atomic on the coordinator's
-    /// device-level L2 replica: the exact issue the single-queue engine
-    /// performs in [`Engine::block_arrives_at_grid`], with `spinning` leaders
-    /// already parked on the release flag. Returns the atomic's completion.
-    pub(crate) fn grid_arrival_issue(&self, l2: &mut Pipeline, local: Ps, spinning: u64) -> Ps {
-        let t = &self.arch.timing;
-        let interval = t.l2_atomic_interval * (1.0 + t.poll_contention_per_block * spinning as f64);
-        let int_ps = self.cyc(interval);
-        l2.issue(local, int_ps, self.lat.global_atomic).done
-    }
-
-    /// Coordinator-injected grid (or degenerate single-device multi-grid)
-    /// release for this cluster's blocks. `wakes` carries `(block, arrival
-    /// atomic completion)` for the blocks this cluster owns; the per-block
-    /// wake math is shared with [`Engine::release_grid`] so timings are
-    /// bit-identical to the single-queue engine. Only the SM-0 cluster emits
-    /// the release epoch — the single-queue engine emits exactly one.
-    pub(crate) fn inject_grid_release(
-        &mut self,
-        release_flag: Ps,
-        wakes: &[(u32, Ps)],
-        mgrid: bool,
-    ) {
-        self.grace_sync();
-        let per_warp = self.grid_release_per_warp(mgrid);
-        let scope = if mgrid {
-            SyncScope::MultiGrid
-        } else {
-            SyncScope::Grid
-        };
-        if self.shard.as_ref().is_some_and(|s| s.sm == Some(0)) {
-            self.prof_epoch(0, scope, release_flag);
-        }
-        // A single-device barrier never pays the cross-device per-block
-        // system-scope fence cost (see `release_grid`), so block wake times
-        // are independent of release order and each cluster can wake its own
-        // blocks without global coordination.
-        for &(gb, atomic_done) in wakes {
-            self.wake_grid_block(gb, atomic_done, release_flag, per_warp, Ps::ZERO);
-        }
-    }
-
-    /// The safe lookahead per round of a cluster-sharded run: the minimum
-    /// intra-device cross-cluster round trip. The only cross-cluster effect
-    /// is a grid-barrier release, and any release wake is at least one
-    /// barrier-unit arrival slot, one block-sync convergence, one L2 atomic
-    /// round trip, and one L2 release-flag read past the arrival event that
-    /// triggered it — see METHODOLOGY §16 for the bound's derivation. Each
-    /// term is the already-rounded `LatTab` value the engine actually
-    /// charges, so the bound is exact, not merely conservative.
-    pub(crate) fn cluster_lookahead(&self) -> Ps {
-        let l = self.lat.block_arr_int + self.lat.block_sync + self.lat.global_atomic + self.lat.l2;
-        if l.is_zero() {
-            Ps(1)
-        } else {
-            l
-        }
     }
 
     /// The safe lookahead per round: the minimum flag latency between any
@@ -1309,14 +1186,8 @@ impl<'a> Engine<'a> {
         // avoids doubling-growth copies of the warp records and their side
         // tables.
         let warps_per_block = self.arch.warps_per_block(self.launch.block_dim) as usize;
-        let blocks_run = match &self.shard {
-            // An SM cluster owns only the blocks resident on its SMs.
-            Some(s) if s.sm.is_some() => (0..self.launch.grid_dim)
-                .filter(|b| (b % self.arch.num_sms) % s.clusters == s.sm.unwrap())
-                .count(),
-            Some(_) => self.launch.grid_dim as usize,
-            None => self.launch.grid_dim as usize * nranks,
-        };
+        let ranks_run = if self.shard.is_some() { 1 } else { nranks };
+        let blocks_run = self.launch.grid_dim as usize * ranks_run;
         self.warps.reserve(blocks_run * warps_per_block);
         if self.watchdog.is_some() {
             self.watermarks.reserve(blocks_run * warps_per_block);
@@ -1327,8 +1198,7 @@ impl<'a> Engine<'a> {
         // Initial wave: fill residency round-robin; queue the rest. A shard
         // creates every rank's block records (engine-global block indices
         // stay `rank * grid_dim + b` everywhere) but schedules only its own
-        // rank's wave — other ranks' blocks never start here. An SM-cluster
-        // shard narrows further to its own SM's blocks.
+        // rank's wave — other ranks' blocks never start here.
         for rank in 0..nranks {
             if let Some(s) = &self.shard {
                 if s.rank as usize != rank {
@@ -1339,13 +1209,6 @@ impl<'a> Engine<'a> {
             for b in 0..self.launch.grid_dim {
                 let gb = base + b;
                 let sm = self.blocks[gb as usize].sm as usize;
-                if let Some(s) = &self.shard {
-                    if s.sm
-                        .is_some_and(|own| own as usize != sm % s.clusters as usize)
-                    {
-                        continue;
-                    }
-                }
                 if self.devs[rank].resident[sm] < self.devs[rank].max_resident_per_sm {
                     self.devs[rank].resident[sm] += 1;
                     self.prof_note_resident(rank, sm);
@@ -2214,11 +2077,10 @@ impl<'a> Engine<'a> {
                     );
                     n += 1;
                 }
-                let cluster = self.shard.as_ref().is_some_and(|s| s.sm.is_some());
                 match rb {
                     // A buffer operand that is the same for the whole warp is
                     // looked up and checked once.
-                    AluSrc::Const(b) if !cluster => {
+                    AluSrc::Const(b) => {
                         let buffer =
                             checked_buffer_mut(&mut self.sys.bufs, &self.shard, b as usize)?;
                         for &(_, i, v) in &stores[..n] {
@@ -2227,28 +2089,7 @@ impl<'a> Engine<'a> {
                     }
                     _ => {
                         for &(b, i, v) in &stores[..n] {
-                            let buffer = checked_buffer(&self.sys.bufs, &self.shard, b)?;
-                            if cluster {
-                                // Cluster shards hold len-only window
-                                // placeholders for store targets: log the
-                                // store for the coordinator's ordered
-                                // merge-back, after replicating the exact
-                                // bounds check the dense buffer would have
-                                // applied.
-                                let len = buffer.len();
-                                if i >= len {
-                                    return Err(SimError::MemoryFault(format!(
-                                        "store at {i} beyond buffer of {len} words"
-                                    )));
-                                }
-                                self.shard
-                                    .as_mut()
-                                    .expect("cluster shard")
-                                    .store_log
-                                    .push((start, b, i, v));
-                            } else {
-                                self.sys.bufs[b].store(i, v)?;
-                            }
+                            checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?.store(i, v)?;
                         }
                     }
                 }
@@ -2547,11 +2388,13 @@ impl<'a> Engine<'a> {
                 for lane in iter_lanes(group) {
                     max_ns = max_ns.max(self.eval(w, lane, ns));
                 }
-                // The operand is kernel data: a sleep past the end of the
-                // picosecond timeline fails the launch instead of wrapping.
+                // The operand is kernel data: a wake past half the
+                // picosecond timeline fails the launch instead of wrapping,
+                // which leaves 2^63 ps of headroom for every later add.
                 let wake = max_ns
                     .checked_mul(1_000)
                     .and_then(|ps| start.0.checked_add(ps))
+                    .filter(|&wake| wake <= u64::MAX / 2)
                     .ok_or_else(|| {
                         SimError::ProgramError(format!(
                             "kernel {:?}: nanosleep of {max_ns} ns overflows the simulated clock",
@@ -2951,25 +2794,6 @@ impl<'a> Engine<'a> {
         };
         // Intra-block convergence first (same cost as a block barrier).
         let local = bar_last + self.lat.block_sync;
-        if let Some(s) = &mut self.shard {
-            if s.sm.is_some() {
-                // SM-cluster shard: the arrival atomic contends on the
-                // *device's* L2 atomic unit, which no single cluster owns.
-                // Park the arrival; the coordinator drains every cluster's
-                // outbox at the round boundary and replays the atomics on
-                // its device-level L2 replica in the single-queue engine's
-                // own order for this launch shape (see `crate::shard`).
-                // That order is the *event firing* time (`now`, when the
-                // last warp reaches the block barrier), not `local`: the
-                // per-SM barrier unit can push `bar_last` past `now` by a
-                // congestion-dependent amount, so `local` order and firing
-                // order genuinely disagree under load.
-                let now = self.now;
-                s.grid_arrivals
-                    .push((now, local, gb, kind == BlockWaitKind::MultiGrid));
-                return;
-            }
-        }
         let spinning = self.devs[rank].grid_bar.waiting.len() as f64;
         // Contended interval varies with the number of spinning leaders —
         // this one stays a live `cyc` conversion.
@@ -2997,27 +2821,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Per-warp release ramp of a grid barrier, heavier (system scope) for
-    /// a multi-grid one.
-    fn grid_release_per_warp(&self, mgrid: bool) -> f64 {
-        let t = &self.arch.timing;
-        if mgrid {
-            t.mgrid_release_per_warp
-        } else {
-            t.grid_release_per_warp
-        }
-    }
-
     /// All blocks of `rank` arrived: wake them once the release flag is set
-    /// at `release_flag`. `mgrid` selects the heavier per-warp system-scope
-    /// release cost and per-block fence cost.
+    /// at `release_flag`. Each leader polls the flag every `poll` cycles from
+    /// its own arrival atomic's completion, reads it one L2 latency later,
+    /// and releases its warps down the per-warp ramp. `mgrid` selects the
+    /// heavier per-warp system-scope release cost and per-block fence cost.
     fn release_grid(&mut self, rank: usize, release_flag: Ps, mgrid: bool) {
         // A grid (or multi-grid) barrier orders every agent of the launch:
         // one launch-wide epoch tick. Block barriers deliberately do NOT
         // bump the global epoch — they only order one block's threads, and
         // a launch-wide tick for them would hide true cross-block races.
         self.grace_sync();
-        let per_warp = self.grid_release_per_warp(mgrid);
+        let t = &self.arch.timing;
+        let per_warp = if mgrid {
+            t.mgrid_release_per_warp
+        } else {
+            t.grid_release_per_warp
+        };
         // The per-block system-scope fence cost only exists when the barrier
         // actually spans devices (a 1-GPU multi-grid launch degenerates to a
         // grid barrier, matching the paper's near-identical 1-GPU columns).
@@ -3034,52 +2854,32 @@ impl<'a> Engine<'a> {
             SyncScope::Grid
         };
         self.prof_epoch(rank as u32, scope, release_flag);
+        let (poll, l2_lat) = (self.lat.poll, self.lat.l2);
         for (order, &(gb, atomic_done)) in waiting.iter().enumerate() {
-            let per_block = Ps::from_ns_f64(per_block_ns * order as f64);
-            self.wake_grid_block(gb, atomic_done, release_flag, per_warp, per_block);
+            let wake_base = if release_flag <= atomic_done {
+                atomic_done
+            } else {
+                let gap = (release_flag - atomic_done).0;
+                let k = gap.div_ceil(poll.0.max(1));
+                atomic_done + Ps(k * poll.0)
+            } + l2_lat
+                + Ps::from_ns_f64(per_block_ns * order as f64);
+            let b = &mut self.blocks[gb as usize];
+            b.smem.fence_all();
+            b.bar_arrived = 0;
+            b.bar_last = Ps::ZERO;
+            let mut warps = std::mem::take(&mut b.bar_waiting);
+            for (i, &w) in warps.iter().enumerate() {
+                let at = wake_base + self.cyc(per_warp * i as f64);
+                self.release_warp_from_block_barrier(w, at);
+            }
+            // Hand the (emptied) buffer back for the block's next barrier.
+            warps.clear();
+            self.blocks[gb as usize].bar_waiting = warps;
         }
         // Hand the (emptied) buffer back for the next epoch's arrivals.
         waiting.clear();
         self.devs[rank].grid_bar.waiting = waiting;
-    }
-
-    /// Wake one block from a grid-level barrier: its leader polls the release
-    /// flag every `poll` cycles from its own arrival atomic's completion,
-    /// reads it one L2 latency later, and releases its warps down the
-    /// per-warp ramp. Shared by [`Engine::release_grid`] and the cluster
-    /// coordinator's [`Engine::inject_grid_release`] so both paths produce
-    /// bit-identical wake times.
-    fn wake_grid_block(
-        &mut self,
-        gb: u32,
-        atomic_done: Ps,
-        release_flag: Ps,
-        per_warp: f64,
-        per_block: Ps,
-    ) {
-        let poll = self.lat.poll;
-        let l2_lat = self.lat.l2;
-        // The leader polls every `poll` cycles from its own arrival.
-        let wake_base = if release_flag <= atomic_done {
-            atomic_done
-        } else {
-            let gap = (release_flag - atomic_done).0;
-            let k = gap.div_ceil(poll.0.max(1));
-            atomic_done + Ps(k * poll.0)
-        } + l2_lat
-            + per_block;
-        let b = &mut self.blocks[gb as usize];
-        b.smem.fence_all();
-        b.bar_arrived = 0;
-        b.bar_last = Ps::ZERO;
-        let mut warps = std::mem::take(&mut b.bar_waiting);
-        for (i, &w) in warps.iter().enumerate() {
-            let at = wake_base + self.cyc(per_warp * i as f64);
-            self.release_warp_from_block_barrier(w, at);
-        }
-        // Hand the (emptied) buffer back for the block's next barrier.
-        warps.clear();
-        self.blocks[gb as usize].bar_waiting = warps;
     }
 
     /// One device finished its local multi-grid arrival; when all ranks have,
@@ -3257,14 +3057,6 @@ impl<'a> Engine<'a> {
                 if b.rank != s.rank {
                     continue;
                 }
-                // A cluster shard sets up every block's placement but runs
-                // only its own SMs' — foreign blocks are not stuck, they are
-                // someone else's.
-                if let Some(own) = s.sm {
-                    if b.sm % s.clusters != own {
-                        continue;
-                    }
-                }
             }
             if !b.started {
                 blocked.push((
@@ -3385,23 +3177,13 @@ impl<'a> Engine<'a> {
     /// shard on its own cannot distinguish "waiting on another rank" from
     /// "stuck", so the deadlock check lives at the coordinator.
     pub(crate) fn finish_shard(mut self) -> ShardParts {
-        let (rank, cluster_sm, clusters) = {
-            let s = self.shard.as_ref().expect("sharded engine");
-            (s.rank, s.sm, s.clusters)
-        };
+        let rank = self.shard.as_ref().expect("sharded engine").rank;
         // Own blocks in engine order = ascending block-on-device: merging
-        // shards rank-major reproduces the single-queue hazard order. A
-        // cluster shard additionally contributes only its own SMs' blocks;
-        // the coordinator re-sorts the concatenation by (rank, block).
+        // shards rank-major reproduces the single-queue hazard order.
         let mut hazards = HazardReport::default();
         for b in &mut self.blocks {
             if b.rank != rank {
                 continue;
-            }
-            if let Some(own) = cluster_sm {
-                if b.sm % clusters != own {
-                    continue;
-                }
             }
             let (hz, dropped) = b.smem.take_hazards();
             hazards.dropped += dropped;
@@ -3419,26 +3201,13 @@ impl<'a> Engine<'a> {
             hazards.global_dropped = dropped;
         }
         let (sm_rows, epochs, epochs_dropped) = match self.prof.take() {
-            Some(mut p) => {
-                let rows = match cluster_sm {
-                    // A cluster owns the rows of its SMs (ascending SM
-                    // order); the coordinator re-sorts the concatenation by
-                    // (rank, sm).
-                    Some(own) => std::mem::take(&mut p.sms[rank as usize])
-                        .into_iter()
-                        .filter(|r| r.sm % clusters == own)
-                        .collect(),
-                    None => std::mem::take(&mut p.sms[rank as usize]),
-                };
-                (rows, p.epochs, p.epochs_dropped)
-            }
+            Some(mut p) => (
+                std::mem::take(&mut p.sms[rank as usize]),
+                p.epochs,
+                p.epochs_dropped,
+            ),
             None => (Vec::new(), Vec::new(), 0),
         };
-        let store_log = self
-            .shard
-            .as_mut()
-            .map(|s| std::mem::take(&mut s.store_log))
-            .unwrap_or_default();
         ShardParts {
             end_time: self.devs[rank as usize].end_time,
             warps_run: self.warps_run,
@@ -3448,7 +3217,6 @@ impl<'a> Engine<'a> {
             sm_rows,
             epochs,
             epochs_dropped,
-            store_log,
         }
     }
 }

@@ -47,12 +47,7 @@ pub use profile::{
     BarrierEpoch, KernelProfile, ProfileReport, SmProfile, StallBreakdown, SyncScope,
 };
 pub use recover::{AttemptRecord, ErrorClass, RecoveryPolicy, RecoveryReport};
-pub use shard::{
-    default_shards, reset_shard_fallback_seen, set_default_shards, set_shard_fallback_hook,
-    shard_fallback_scope, ShardFallbackHook, ShardFallbackScope,
-};
-pub use system::{
-    ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions, ShardPolicy,
-};
+pub use shard::{default_shards, set_default_shards};
+pub use system::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
 pub use timeline::render_timeline;
 pub use verify::{check_kernel, check_launch, render_report, Diagnostic, HazardClass, Severity};

@@ -76,23 +76,6 @@ impl Buffer {
         }
     }
 
-    /// A same-device, same-length *window* onto this buffer that carries no
-    /// contents: an O(1) synthetic descriptor an SM-cluster shard uses to
-    /// bounds-check stores it only logs (the coordinator replays the log
-    /// against the real buffer at merge time). Never read by eligible
-    /// kernels — cluster sharding falls back to the single queue for any
-    /// kernel that both loads and stores global memory.
-    pub(crate) fn len_only_window(&self) -> Buffer {
-        Buffer {
-            device: self.device,
-            data: BufData::Linear {
-                a: 0.0,
-                b: 0.0,
-                len: self.len(),
-            },
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -115,45 +115,6 @@ impl ExecReport {
     }
 }
 
-/// How a launch's discrete-event execution is parallelized (see
-/// [`crate::shard`] for the protocol). Sharding is an *execution strategy*,
-/// not an instrument: every artifact a sharded run produces is byte-identical
-/// at any worker count. The decomposition axis follows the launch shape —
-/// multi-device launches shard by device rank, single-device launches by SM
-/// cluster — so [`ShardPolicy::ByRank`] and [`ShardPolicy::BySmCluster`] are
-/// worker-count *hints* whose axis is corrected to fit the launch. Launches
-/// the cluster protocol cannot reproduce exactly (see
-/// `crate::shard::single_device_fallback_reason`) fall back to the single
-/// queue and report why through
-/// [`crate::shard::set_shard_fallback_hook`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Use the process-wide default ([`crate::shard::set_default_shards`],
-    /// wired to the CLI's `--shards`); `0` means the single-queue engine.
-    #[default]
-    Auto,
-    /// Force the classic single event queue.
-    SingleQueue,
-    /// One shard per device rank of a multi-device launch, driven by up to
-    /// `workers` OS threads under conservative time-window synchronization.
-    ByRank { workers: usize },
-    /// One shard per SM cluster of a single-device launch, driven by up to
-    /// `workers` OS threads — the intra-device decomposition
-    /// (`GpuArch::sm_cluster_count` clusters, window-bounded cross-shard
-    /// memory).
-    BySmCluster { workers: usize },
-}
-
-/// The execution strategy [`GpuSystem::decide_sharding`] resolved for one
-/// launch: the policy hint corrected to the launch's shape, with every
-/// fallback reported through the shard fallback hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardMode {
-    SingleQueue,
-    ByRank { workers: usize },
-    BySmCluster { workers: usize },
-}
-
 /// What to instrument during a run — the one knob set of the unified
 /// [`GpuSystem::execute`] API. Compose with the builder methods:
 ///
@@ -176,7 +137,9 @@ pub struct RunOptions {
     profile: bool,
     faults: Option<crate::fault::FaultPlan>,
     watchdog: Option<Ps>,
-    shards: ShardPolicy,
+    /// Rank workers for a multi-device launch: `None` follows the
+    /// process-wide `--shards` default, `Some(0)` forces the single queue.
+    shards: Option<usize>,
     recovery: Option<crate::recover::RecoveryPolicy>,
 }
 
@@ -189,7 +152,7 @@ impl RunOptions {
             profile: false,
             faults: None,
             watchdog: None,
-            shards: ShardPolicy::Auto,
+            shards: None,
             recovery: None,
         }
     }
@@ -236,24 +199,13 @@ impl RunOptions {
         self
     }
 
-    /// Select intra-launch sharding: `n` worker threads driving one
-    /// discrete-event shard per device rank (multi-device launches) or per
-    /// SM cluster (single-device launches) — the axis follows the launch
-    /// shape. `n = 0` forces the single-queue engine; `n = 1` runs the
-    /// sharded protocol on one thread — useful to test its determinism.
-    /// Shorthand for the common [`ShardPolicy`] cases.
+    /// Run a multi-device launch on `n` worker threads, one discrete-event
+    /// shard per device rank (see [`crate::shard`]). `n = 0` forces the
+    /// single-queue engine; `n = 1` runs the sharded protocol on one thread —
+    /// useful to test its determinism. Single-device launches always run on
+    /// the single queue.
     pub const fn shards(mut self, n: usize) -> RunOptions {
-        self.shards = if n == 0 {
-            ShardPolicy::SingleQueue
-        } else {
-            ShardPolicy::ByRank { workers: n }
-        };
-        self
-    }
-
-    /// Set the full [`ShardPolicy`] (e.g. to restore `Auto`).
-    pub const fn shard_policy(mut self, policy: ShardPolicy) -> RunOptions {
-        self.shards = policy;
+        self.shards = Some(n);
         self
     }
 
@@ -268,7 +220,7 @@ impl RunOptions {
         self
     }
 
-    pub const fn sharding(&self) -> ShardPolicy {
+    pub const fn sharding(&self) -> Option<usize> {
         self.shards
     }
 
@@ -527,9 +479,9 @@ impl GpuSystem {
 
     /// Does any rank's param list name a buffer on a different device?
     /// Conservative (a scalar equal to a remote buffer's id counts), used
-    /// only to keep the shard selection off launches that need the
+    /// only to keep the `--shards` default off launches that need the
     /// single-queue engine's cross-device data path.
-    pub(crate) fn params_cross_devices(&self, launch: &GridLaunch) -> bool {
+    fn params_cross_devices(&self, launch: &GridLaunch) -> bool {
         launch.devices.iter().zip(&launch.params).any(|(&dev, ps)| {
             ps.iter().any(|&p| {
                 usize::try_from(p)
@@ -557,113 +509,49 @@ impl GpuSystem {
         }
         let check = opts.wants_check() || launch.checked;
         self.validate_with(launch, check)?;
-        match self.decide_sharding(launch, opts, check) {
-            ShardMode::SingleQueue => {}
-            ShardMode::ByRank { workers } => {
-                let (report, trace, hazards, profile) =
-                    crate::shard::execute_sharded(self, launch, opts, check, workers)?;
-                crate::stats::count_instrs(report.instrs_executed);
-                return Ok(RunArtifacts {
-                    report,
-                    hazards: if check { Some(hazards) } else { None },
-                    trace: if opts.trace_cap().is_some() {
-                        Some(trace)
-                    } else {
-                        None
-                    },
-                    profile,
-                    recovery: None,
-                });
+        let (report, trace, hazards, profile) = match self.shard_workers(launch, opts) {
+            0 => {
+                let mut engine = Engine::new(self, launch)
+                    .with_check(check)
+                    .with_profile(opts.wants_profile())
+                    .with_faults(opts.fault_plan())
+                    .with_watchdog(opts.watchdog_budget());
+                if let Some(cap) = opts.trace_cap() {
+                    engine = engine.with_trace(cap);
+                }
+                engine.run_full()?
             }
-            ShardMode::BySmCluster { workers } => {
-                let (report, trace, hazards, profile) =
-                    crate::shard::execute_cluster_sharded(self, launch, opts, check, workers)?;
-                crate::stats::count_instrs(report.instrs_executed);
-                return Ok(RunArtifacts {
-                    report,
-                    hazards: if check { Some(hazards) } else { None },
-                    trace: if opts.trace_cap().is_some() {
-                        Some(trace)
-                    } else {
-                        None
-                    },
-                    profile,
-                    recovery: None,
-                });
-            }
-        }
-        let mut engine = Engine::new(self, launch)
-            .with_check(check)
-            .with_profile(opts.wants_profile())
-            .with_faults(opts.fault_plan())
-            .with_watchdog(opts.watchdog_budget());
-        if let Some(cap) = opts.trace_cap() {
-            engine = engine.with_trace(cap);
-        }
-        let (report, trace, hazards, profile) = engine.run_full()?;
+            workers => crate::shard::execute_sharded(self, launch, opts, check, workers)?,
+        };
         crate::stats::count_instrs(report.instrs_executed);
         Ok(RunArtifacts {
             report,
-            hazards: if check { Some(hazards) } else { None },
-            trace: if opts.trace_cap().is_some() {
-                Some(trace)
-            } else {
-                None
-            },
+            hazards: check.then_some(hazards),
+            trace: opts.trace_cap().map(|_| trace),
             profile,
             recovery: None,
         })
     }
 
-    /// Resolve the launch's execution strategy from the policy hint and the
-    /// launch shape. Multi-device launches shard by rank, single-device
-    /// launches by SM cluster; every path that falls back to the single
-    /// queue reports its reason once through
-    /// [`crate::shard::set_shard_fallback_hook`].
-    pub(crate) fn decide_sharding(
-        &self,
-        launch: &GridLaunch,
-        opts: &RunOptions,
-        check: bool,
-    ) -> ShardMode {
-        let (auto, workers) = match opts.sharding() {
-            ShardPolicy::Auto => (true, crate::shard::default_shards()),
-            ShardPolicy::SingleQueue => {
-                crate::shard::note_shard_fallback("policy forces the single queue");
-                return ShardMode::SingleQueue;
-            }
-            // The explicit variants are worker-count hints; the axis always
-            // follows the launch shape.
-            ShardPolicy::ByRank { workers } | ShardPolicy::BySmCluster { workers } => {
-                (false, workers)
-            }
-        };
-        if workers == 0 {
-            crate::shard::note_shard_fallback("no shard workers configured (--shards 0)");
-            return ShardMode::SingleQueue;
+    /// How many rank workers run `launch` (see [`crate::shard`]); `0` means
+    /// the single queue, which every single-device launch uses.
+    pub(crate) fn shard_workers(&self, launch: &GridLaunch, opts: &RunOptions) -> usize {
+        if launch.devices.len() < 2 {
+            return 0;
         }
-        if launch.devices.len() > 1 {
+        match opts.sharding() {
+            Some(workers) => workers,
             // The process-wide default must widen no semantics: a launch
             // whose params hand a rank another device's buffer (peer-access
             // reductions, P2P allreduce) needs the single-queue engine's
-            // cross-device data path, so Auto quietly keeps it there. A
-            // scalar param colliding with a remote buffer id only costs the
-            // speedup, never correctness; computed cross-device accesses
+            // cross-device data path, so the default quietly keeps it there.
+            // A scalar param colliding with a remote buffer id only costs
+            // the speedup, never correctness; computed cross-device accesses
             // that slip past the scan still hit the in-engine guard.
-            if auto && self.params_cross_devices(launch) {
-                crate::shard::note_shard_fallback(
-                    "multi-device params cross devices: peer access needs the single queue",
-                );
-                return ShardMode::SingleQueue;
-            }
-            return ShardMode::ByRank { workers };
-        }
-        match crate::shard::single_device_fallback_reason(self, launch, check) {
-            Some(reason) => {
-                crate::shard::note_shard_fallback(&reason);
-                ShardMode::SingleQueue
-            }
-            None => ShardMode::BySmCluster { workers },
+            None => match crate::shard::default_shards() {
+                workers if workers > 0 && !self.params_cross_devices(launch) => workers,
+                _ => 0,
+            },
         }
     }
 
@@ -1158,9 +1046,10 @@ mod tests {
         assert_eq!(sys.read_u64(b), vec![0; 4]);
     }
 
-    /// Pins the axis-selection rules: the policy names a worker count, the
-    /// launch shape names the decomposition axis, and every ineligible
-    /// single-device launch falls back to the single queue.
+    /// Pins the selection rule: only multi-device launches shard, `Some(n)`
+    /// names their worker count, and `None` follows the process default
+    /// (`0` here: nothing in this test binary sets it). The default's
+    /// cross-device param scan is covered in `tests/shard_determinism.rs`.
     #[test]
     fn sharding_selection_follows_launch_shape() {
         let mut sys = GpuSystem::new(GpuArch::v100(), gpu_node::NodeTopology::dgx1_v100());
@@ -1179,55 +1068,34 @@ mod tests {
             vec![0, 1],
             vec![vec![], vec![]],
         );
-        let opts4 = RunOptions::new().shards(4);
-        // Single-device + eligible kernel: cluster sharding, whichever
-        // variant carried the worker count.
-        assert_eq!(
-            sys.decide_sharding(&single, &opts4, false),
-            ShardMode::BySmCluster { workers: 4 }
-        );
-        assert_eq!(
-            sys.decide_sharding(
-                &single,
-                &RunOptions::new().shard_policy(ShardPolicy::BySmCluster { workers: 2 }),
-                false
-            ),
-            ShardMode::BySmCluster { workers: 2 }
-        );
-        // Checked runs need the launch-wide racecheck ordering.
-        assert_eq!(
-            sys.decide_sharding(&single, &opts4, true),
-            ShardMode::SingleQueue
-        );
-        // No workers — explicitly or via the process default of 0.
-        assert_eq!(
-            sys.decide_sharding(&single, &RunOptions::new().shards(0), false),
-            ShardMode::SingleQueue
-        );
-        assert_eq!(
-            sys.decide_sharding(&single, &RunOptions::new(), false),
-            ShardMode::SingleQueue
-        );
-        // A 1-SM device has nothing to partition.
-        let mut one_sm = GpuArch::v100();
-        one_sm.num_sms = 1;
-        let mut tiny = GpuSystem::single(one_sm);
-        let tbuf = tiny.alloc(0, 64);
-        let tiny_launch = GridLaunch::single(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::Grid, 2),
-            1,
-            64,
-            vec![tbuf.0 as u64],
-        )
-        .cooperative();
-        assert_eq!(
-            tiny.decide_sharding(&tiny_launch, &opts4, false),
-            ShardMode::SingleQueue
-        );
-        // Multi-device launches keep the by-rank axis.
-        assert_eq!(
-            sys.decide_sharding(&multi, &opts4, false),
-            ShardMode::ByRank { workers: 4 }
-        );
+        // Hands rank 1 a buffer on device 0.
+        let crossing = GridLaunch {
+            params: vec![vec![buf.0 as u64], vec![buf.0 as u64]],
+            ..multi.clone()
+        };
+        for (launch, shards, workers) in [
+            (&single, Some(4), 0),
+            (&single, Some(0), 0),
+            (&single, None, 0),
+            (&multi, Some(4), 4),
+            (&multi, Some(1), 1),
+            (&multi, Some(0), 0),
+            (&multi, None, 0),
+            // An explicit count is honoured, and the engine then rejects
+            // the cross-device access.
+            (&crossing, Some(2), 2),
+        ] {
+            let mut opts = RunOptions::new();
+            if let Some(n) = shards {
+                opts = opts.shards(n);
+            }
+            assert_eq!(opts.sharding(), shards);
+            assert_eq!(
+                sys.shard_workers(launch, &opts),
+                workers,
+                "{} devices at {shards:?}",
+                launch.devices.len()
+            );
+        }
     }
 }

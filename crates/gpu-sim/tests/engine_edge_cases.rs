@@ -311,18 +311,33 @@ fn nanosleep_takes_the_lanes_maximum() {
 fn nanosleep_past_the_timeline_fails_the_launch() {
     // After a 1 ns sleep, u64::MAX / 500 ns (about 2 * u64::MAX ps) cannot
     // be converted to ps, and u64::MAX / 1000 ns can but not added to the
-    // issue time. Neither wake can be represented, so the launch must fail
-    // rather than wake in the past.
-    for ns in [u64::MAX / 500, u64::MAX / 1000] {
-        let mut sys = GpuSystem::single(v100(1));
+    // issue time. u64::MAX / 1000 - 1 ns wakes a few ns short of u64::MAX
+    // ps, too close for the clock read after it to add its latency. None of
+    // these wakes leaves the rest of the kernel a representable timeline,
+    // so the launch must fail rather than wake in the past or overflow later.
+    let sleeps = |ns: &[u64], read_clock: bool| {
         let mut b = KernelBuilder::new("sleep-overflow");
-        b.push(Instr::Nanosleep(Imm(1)));
-        b.push(Instr::Nanosleep(Imm(ns)));
+        for &n in ns {
+            b.push(Instr::Nanosleep(Imm(n)));
+        }
+        if read_clock {
+            let r = b.reg();
+            b.read_clock(r);
+        }
         b.exit();
-        let e = sys.run_plain(&GridLaunch::single(b.build(0), 1, 32, vec![]));
+        b.build(0)
+    };
+    for kernel in [
+        sleeps(&[1, u64::MAX / 500], false),
+        sleeps(&[1, u64::MAX / 1000], false),
+        sleeps(&[u64::MAX / 1000 - 1], true),
+    ] {
+        let mut sys = GpuSystem::single(v100(1));
+        let e = sys.run_plain(&GridLaunch::single(kernel.clone(), 1, 32, vec![]));
         assert!(
             matches!(&e, Err(SimError::ProgramError(m)) if m.contains("nanosleep")),
-            "{ns} ns: {e:?}"
+            "{:?}: {e:?}",
+            kernel.program.instrs
         );
     }
 }

@@ -1,15 +1,15 @@
-//! The sharded engine's determinism contract, on both decomposition axes:
-//! every artifact of a multi-device (by-rank) or single-device (by-SM-cluster)
-//! launch — `ExecReport`, hazard report, profile JSON, trace — is
-//! byte-identical at any `--shards` worker count, clean runs match the
-//! single-queue engine byte for byte, faults / the watchdog / the instruction
-//! limit compose with sharding, cluster store logs merge back on the error
-//! path, and cross-device data access (which has no latency floor to bound a
-//! lookahead window) is rejected with a clear error.
+//! The by-rank sharded engine's determinism contract: every artifact of a
+//! multi-device launch — `ExecReport`, hazard report, profile JSON, trace —
+//! is byte-identical at any `--shards` worker count, clean runs match the
+//! single-queue engine byte for byte, faults / the watchdog / the
+//! instruction limit compose with sharding, and cross-device data access
+//! (which has no latency floor to bound a lookahead window) is rejected with
+//! a clear error. A single-device grid_sync launch serves as a control: it
+//! runs on the single queue whatever worker count is asked for.
 
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
-use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, Special};
+use gpu_sim::isa::{Instr, KernelBuilder, Operand::*};
 use gpu_sim::kernels::{self, SyncOp};
 use gpu_sim::{FaultPlan, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
 use sim_core::{Ps, SimError, SimResult};
@@ -175,245 +175,26 @@ fn cross_device_access_is_rejected_under_sharding() {
         other => panic!("expected InvalidLaunch, got {other:?}"),
     }
     assert_eq!(sys.read_u64(remote).len(), 64);
-    // ...and the process-global default (ShardPolicy::Auto) must never
-    // change which launches run: the param scan spots the remote buffer
-    // and keeps this launch on the single queue.
+    // ...and the process-global default (options that leave `shards` unset)
+    // must never change which launches run: the param scan spots the remote
+    // buffer and keeps this launch on the single queue.
     gpu_sim::set_default_shards(2);
     let auto = sys.execute(&launch, &RunOptions::new());
     gpu_sim::set_default_shards(0);
     assert_eq!(auto.unwrap().report, legacy.report);
 }
 
-// ===== SM-cluster sharding (single-device launches) ==========================
-
-/// A figure5-shaped launch: a grid-barrier sync chain on one device, every
-/// thread timing the chain and storing its elapsed cycles (store-only, so
-/// cluster-eligible). 14 blocks over 7 SMs — two per cluster.
-fn run_fig5(shards: usize, opts: &RunOptions) -> SimResult<RunArtifacts> {
-    let mut sys = node_sys(7);
-    let kernel = kernels::sync_chain(SyncOp::Grid, 3);
-    let buf = sys.alloc(0, 14 * 64);
-    let launch = GridLaunch::single(kernel, 14, 64, vec![buf.0 as u64]).cooperative();
-    sys.execute(&launch, &opts.clone().shards(shards))
-}
-
-/// A figure9-shaped 1-GPU cell: a multi-grid sync chain launched
-/// cooperatively on a single device (the paper's 1-GPU multi-grid column).
-fn run_fig9_1gpu(shards: usize, opts: &RunOptions) -> SimResult<RunArtifacts> {
-    let mut sys = node_sys(7);
-    let launch = mgrid_launch(&mut sys, vec![0], 3, 14, 64);
-    sys.execute(&launch, &opts.clone().shards(shards))
-}
-
-#[test]
-fn cluster_run_matches_single_queue_byte_for_byte() {
-    let opts = RunOptions::new().trace(200_000).profile();
-    let base = fingerprint(&run_fig5(0, &opts).unwrap());
-    for shards in [1, 2, 4, 7] {
-        let other = fingerprint(&run_fig5(shards, &opts).unwrap());
-        assert_eq!(
-            base, other,
-            "cluster artifacts drifted from the single queue at {shards} workers"
-        );
-    }
-}
-
-#[test]
-fn cluster_mgrid_run_matches_single_queue_byte_for_byte() {
-    let opts = RunOptions::new().trace(200_000).profile();
-    let base = fingerprint(&run_fig9_1gpu(0, &opts).unwrap());
-    for shards in [1, 2, 4, 7] {
-        let other = fingerprint(&run_fig9_1gpu(shards, &opts).unwrap());
-        assert_eq!(
-            base, other,
-            "1-GPU multi-grid cluster artifacts drifted at {shards} workers"
-        );
-    }
-}
-
-/// Architectures wider than the GPC cap group several SMs per cluster
-/// (16 SMs → 10 clusters, six of them owning two SMs). The 7-SM tests map
-/// one SM per cluster, so this pins the grouped routing: uneven grids on an
-/// arch whose SM→cluster map is genuinely many-to-one.
-#[test]
-fn grouped_cluster_run_matches_single_queue_byte_for_byte() {
-    let opts = RunOptions::new().trace(200_000).profile();
-    for grid_dim in [16, 25, 32] {
-        let run = |shards: usize| {
-            let mut sys = node_sys(16);
-            let kernel = kernels::sync_chain(SyncOp::Grid, 3);
-            let buf = sys.alloc(0, grid_dim as u64 * 64);
-            let launch = GridLaunch::single(kernel, grid_dim, 64, vec![buf.0 as u64]).cooperative();
-            sys.execute(&launch, &opts.clone().shards(shards))
-        };
-        let base = fingerprint(&run(0).unwrap());
-        for shards in [1, 4] {
-            let other = fingerprint(&run(shards).unwrap());
-            assert_eq!(
-                base, other,
-                "grouped-cluster artifacts drifted at grid {grid_dim} with {shards} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn cluster_faults_and_watchdog_compose() {
-    let plan = FaultPlan::seeded(11)
-        .stragglers(120, 1800)
-        .delay_barriers(80, 3);
-    let opts = RunOptions::new()
-        .profile()
-        .watchdog(Ps::from_us(50))
-        .faults(plan);
-    let base = fingerprint(&run_fig5(1, &opts).unwrap());
-    for shards in [2, 4, 7] {
-        let other = fingerprint(&run_fig5(shards, &opts).unwrap());
-        assert_eq!(
-            base, other,
-            "faulted cluster artifacts drifted at {shards} workers"
-        );
-    }
-}
-
-#[test]
-fn cluster_instr_limit_error_is_identical_at_any_worker_count() {
-    let mut errs = Vec::new();
-    for shards in [0, 1, 2, 4, 7] {
-        let mut sys = node_sys(7).with_instr_limit(100);
-        let kernel = kernels::sync_chain(SyncOp::Grid, 3);
-        let buf = sys.alloc(0, 14 * 64);
-        let launch = GridLaunch::single(kernel, 14, 64, vec![buf.0 as u64]).cooperative();
-        errs.push(
-            sys.execute(&launch, &RunOptions::new().shards(shards))
-                .unwrap_err(),
-        );
-    }
-    assert!(
-        matches!(&errs[0], SimError::ProgramError(m) if m.contains("exceeded")),
-        "{:?}",
-        errs[0]
-    );
-    assert!(errs.windows(2).all(|w| w[0] == w[1]), "{errs:?}");
-}
-
-/// A store-only kernel whose last thread stores one word past the buffer:
-/// the error value matches the single queue at every worker count, and the
-/// logged stores merge back into the caller's buffer on the error path.
-#[test]
-fn cluster_store_fault_merges_stores_back_on_error_path() {
-    let store_kernel = {
-        let mut b = KernelBuilder::new("store-tid");
-        b.push(Instr::StGlobal {
-            buf: Param(0),
-            idx: Sp(Special::GlobalTid),
-            val: Sp(Special::GlobalTid),
-        });
-        b.exit();
-        b.build(0)
-    };
-    let words = 4 * 64 - 1; // one word short: the last thread faults
-    let run = |shards: usize| {
-        let mut sys = node_sys(4);
-        let buf = sys.alloc(0, words);
-        let launch = GridLaunch::single(store_kernel.clone(), 4, 64, vec![buf.0 as u64]);
-        let err = sys
-            .execute(&launch, &RunOptions::new().shards(shards))
-            .unwrap_err();
-        (err, sys.read_u64(buf))
-    };
-    let (base_err, _) = run(0);
-    assert!(
-        matches!(&base_err, SimError::MemoryFault(m) if m.contains("beyond buffer")),
-        "{base_err:?}"
-    );
-    let (err1, mem1) = run(1);
-    assert_eq!(base_err, err1, "cluster error must match the single queue");
-    // The merge-back ran: stores that executed before the fault are visible
-    // in the caller's buffer, which survives at full length.
-    assert_eq!(mem1.len(), words as usize);
-    assert!(mem1.iter().any(|&w| w != 0), "no stores merged back");
-    for shards in [2, 4, 7] {
-        let (err, mem) = run(shards);
-        assert_eq!(base_err, err);
-        assert_eq!(mem1, mem, "merged stores drifted at {shards} workers");
-    }
-}
-
-/// The fallback debug hook fires once per distinct reason; eligible launches
-/// shard without touching it.
-#[test]
-fn fallback_hook_reports_each_reason_once() {
-    let seen: Arc<std::sync::Mutex<Vec<String>>> = Arc::default();
-    let sink = seen.clone();
-    let scope = gpu_sim::shard_fallback_scope(Box::new(move |r| {
-        sink.lock().unwrap().push(r.to_string());
-    }));
-    // A kernel the window protocol can't reproduce: global atomics.
-    let atomic_kernel = {
-        let mut b = KernelBuilder::new("atomic-bump");
-        b.push(Instr::AtomicIAdd {
-            dst_old: None,
-            buf: Param(0),
-            idx: Imm(0),
-            val: Imm(1),
-        });
-        b.exit();
-        b.build(0)
-    };
-    let mut sys = GpuSystem::single(small_v100(4));
-    let buf = sys.alloc(0, 8);
-    let launch = GridLaunch::single(atomic_kernel, 2, 32, vec![buf.0 as u64]);
-    for _ in 0..2 {
-        sys.execute(&launch, &RunOptions::new().shards(2)).unwrap();
-    }
-    // Other tests run concurrently and may report their own fallbacks; ours
-    // is identified by its reason text — and deduplicated across both runs.
-    let ours = |seen: &std::sync::Mutex<Vec<String>>| {
-        seen.lock()
-            .unwrap()
-            .iter()
-            .filter(|r| r.contains("global atomics"))
-            .count()
-    };
-    assert_eq!(ours(&seen), 1, "{:?}", seen.lock().unwrap());
-    // The dedup set is process-global; without a reset, whichever test saw
-    // a reason first would eat it for every later observer. The reset arms
-    // the same reason again for the same installed hook.
-    gpu_sim::reset_shard_fallback_seen();
-    sys.execute(&launch, &RunOptions::new().shards(2)).unwrap();
-    assert_eq!(ours(&seen), 2, "{:?}", seen.lock().unwrap());
-    // Dropping the scope uninstalls the hook and clears the dedup state.
-    drop(scope);
-    sys.execute(&launch, &RunOptions::new().shards(2)).unwrap();
-    assert_eq!(ours(&seen), 2, "hook fired after its scope ended");
-}
-
-/// `shards(n)` on a single-device launch now means cluster sharding — the
-/// explicit `BySmCluster` policy and the worker-count shorthand agree with
-/// the single queue exactly.
+/// Single-device launches always run on the single queue: asking for four
+/// workers changes no byte of the report, trace or profile.
 #[test]
 fn single_device_policy_hints_all_agree() {
-    use gpu_sim::system::ShardPolicy;
-    let mut sys = GpuSystem::single(small_v100(4));
-    let kernel = kernels::sync_chain(SyncOp::Grid, 4);
-    let buf = sys.alloc(0, 8 * 64);
-    let launch = GridLaunch::single(kernel, 8, 64, vec![buf.0 as u64]).cooperative();
-    let a = sys
-        .execute(&launch, &RunOptions::new().shards(0))
-        .unwrap()
-        .report;
-    let b = sys
-        .execute(&launch, &RunOptions::new().shards(4))
-        .unwrap()
-        .report;
-    let c = sys
-        .execute(
-            &launch,
-            &RunOptions::new().shard_policy(ShardPolicy::BySmCluster { workers: 2 }),
-        )
-        .unwrap()
-        .report;
-    assert_eq!(a, b);
-    assert_eq!(a, c);
+    let run = |shards: usize| {
+        let mut sys = GpuSystem::single(small_v100(4));
+        let kernel = kernels::sync_chain(SyncOp::Grid, 4);
+        let buf = sys.alloc(0, 8 * 64);
+        let launch = GridLaunch::single(kernel, 8, 64, vec![buf.0 as u64]).cooperative();
+        let opts = RunOptions::new().trace(200_000).profile().shards(shards);
+        fingerprint(&sys.execute(&launch, &opts).unwrap())
+    };
+    assert_eq!(run(0), run(4));
 }
