@@ -303,17 +303,18 @@ pub(crate) struct Engine<'a> {
     arch: Arc<GpuArch>,
     ps_per_cycle: f64,
     lat: LatTab,
-    /// Architectural registers the launched program actually references
-    /// (max index + 1); a warp's register slot holds `nregs * 32` words
-    /// instead of the full `NUM_REGS` file.
-    nregs: usize,
+    /// Where each register the launched program references lives in a
+    /// warp's slot, computed once per launch.
+    reg_layout: RegLayout,
     /// One register file for every live warp of the launch, addressed by
     /// flat word offset and stored in pages of [`REG_PAGE_WORDS`] words. A
-    /// warp's slot starts at `Warp::regs` and is register-major with a lane
-    /// stride of 32: register `r` of `lane` is word `regs + r * 32 + lane`,
-    /// so one architectural register's 32 lanes span four cache lines,
-    /// which is what the per-instruction lane loops walk. No slot straddles
-    /// a page, so a register column is always one contiguous slice.
+    /// warp's slot starts at `Warp::regs` and holds
+    /// [`RegLayout::slot_words`] words: a 32-word column per register whose
+    /// lanes may differ (lane `l` of register `r` is word
+    /// `regs + at[r] + l`, four cache lines per column, which is what the
+    /// per-instruction lane loops walk), then one word per warp-uniform
+    /// register. No slot straddles a page, so a register column is always
+    /// one contiguous slice.
     reg_pages: Vec<Box<[u64]>>,
     /// Flat offset of the first never-used word of the file.
     reg_top: usize,
@@ -566,14 +567,14 @@ impl<'a> Engine<'a> {
         let arch = sys.arch.clone();
         let ps_per_cycle = arch.clock().ps_per_cycle();
         let lat = LatTab::new(&arch, ps_per_cycle);
-        let nregs = reg_rows(&launch.kernel.program);
+        let reg_layout = RegLayout::new(&launch.kernel.program);
         Engine {
             sys,
             launch,
             arch,
             ps_per_cycle,
             lat,
-            nregs,
+            reg_layout,
             reg_pages: Vec::new(),
             reg_top: 0,
             free_slots: Vec::new(),
@@ -1290,7 +1291,7 @@ impl<'a> Engine<'a> {
     /// the top of the file, opening a fresh (zeroed) page when the slot
     /// would not fit in the current one.
     fn alloc_reg_slot(&mut self) -> u32 {
-        let words = self.nregs * WARP as usize;
+        let words = self.reg_layout.slot_words;
         if let Some(slot) = self.free_slots.pop() {
             // Kernels that touch no register have empty slots.
             if words != 0 {
@@ -1322,16 +1323,74 @@ impl<'a> Engine<'a> {
         &mut self.reg_pages[at / REG_PAGE_WORDS][at % REG_PAGE_WORDS..][..WARP as usize]
     }
 
+    /// The one word of a warp-uniform register at flat offset `at`.
     #[inline]
-    fn reg(&self, w: u32, lane: u32, r: Reg) -> u64 {
-        let at = self.warps[w as usize].regs as usize + r as usize * 32;
-        self.reg_col(at)[(lane & 31) as usize]
+    fn reg_word(&self, at: usize) -> u64 {
+        self.reg_pages[at / REG_PAGE_WORDS][at % REG_PAGE_WORDS]
     }
 
     #[inline]
+    fn reg_word_mut(&mut self, at: usize) -> &mut u64 {
+        &mut self.reg_pages[at / REG_PAGE_WORDS][at % REG_PAGE_WORDS]
+    }
+
+    /// Flat offset of register `r` of warp `w`: its column or its word.
+    #[inline]
+    fn reg_at(&self, w: u32, r: Reg) -> usize {
+        self.warps[w as usize].regs as usize + self.reg_layout.at[r as usize] as usize
+    }
+
+    #[inline]
+    fn reg(&self, w: u32, lane: u32, r: Reg) -> u64 {
+        let at = self.reg_at(w, r);
+        if self.reg_layout.is_scalar(r) {
+            self.reg_word(at)
+        } else {
+            self.reg_col(at)[(lane & 31) as usize]
+        }
+    }
+
+    /// Write one lane of a register that may differ across lanes.
+    #[inline]
     fn set_reg(&mut self, w: u32, lane: u32, r: Reg, v: u64) {
-        let at = self.warps[w as usize].regs as usize + r as usize * 32;
+        debug_assert!(
+            !self.reg_layout.is_scalar(r),
+            "per-lane write to scalar r{r}"
+        );
+        let at = self.reg_at(w, r);
         self.reg_col_mut(at)[(lane & 31) as usize] = v;
+    }
+
+    /// Write `val(lane)` to register `d` for every lane of `group`. A
+    /// warp-uniform register takes the value of the group's first lane:
+    /// its writers yield one value for the whole warp.
+    #[inline]
+    fn write_dst(&mut self, w: u32, group: u32, d: Reg, val: impl Fn(usize) -> u64) {
+        let at = self.reg_at(w, d);
+        if self.reg_layout.is_scalar(d) {
+            self.debug_scalar_write(w, group, d);
+            *self.reg_word_mut(at) = val(group.trailing_zeros() as usize);
+        } else {
+            let col = self.reg_col_mut(at);
+            for lane in iter_lanes(group) {
+                let l = (lane & 31) as usize;
+                col[l] = val(l);
+            }
+        }
+    }
+
+    /// The premises that make a warp-uniform register exact (see
+    /// [`RegLayout`]): the group writing it is the whole warp, and no lane
+    /// has exited.
+    #[inline]
+    fn debug_scalar_write(&self, w: u32, group: u32, d: Reg) {
+        let warp = &self.warps[w as usize];
+        debug_assert!(
+            group == warp.live() && warp.live() == warp.present,
+            "warp {w}: scalar r{d} written by group {group:#x} (live {:#x}, present {:#x})",
+            warp.live(),
+            warp.present
+        );
     }
 
     #[inline]
@@ -1715,14 +1774,22 @@ impl<'a> Engine<'a> {
 
     // ----- instruction execution ---------------------------------------------
 
-    /// A resolved ALU source: registers become a column offset into the
-    /// register file; immediates, kernel params, and warp-uniform specials
-    /// become a single constant; lane-affine specials become a base the
-    /// lane id is added to — all resolvable ONCE per instruction instead of
-    /// per lane (mirrors [`Engine::eval`], including its u32 arithmetic).
+    /// A resolved ALU source: column registers become a column offset into
+    /// the register file; warp-uniform registers, immediates, kernel params,
+    /// and warp-uniform specials become a single constant; lane-affine
+    /// specials become a base the lane id is added to — all resolvable ONCE
+    /// per instruction instead of per lane (mirrors [`Engine::eval`],
+    /// including its u32 arithmetic).
     fn alu_src(&self, w: u32, op: Operand) -> AluSrc {
         match op {
-            Operand::Reg(r) => AluSrc::Col(self.warps[w as usize].regs as usize + r as usize * 32),
+            Operand::Reg(r) => {
+                let at = self.reg_at(w, r);
+                if self.reg_layout.is_scalar(r) {
+                    AluSrc::Const(self.reg_word(at))
+                } else {
+                    AluSrc::Col(at)
+                }
+            }
             Operand::Imm(v) => AluSrc::Const(v),
             Operand::Param(p) => {
                 let rank = self.warps[w as usize].rank as usize;
@@ -1802,7 +1869,14 @@ impl<'a> Engine<'a> {
         f: impl Fn(u64) -> u64,
     ) -> SimResult<Step> {
         let start = self.charge_sched(w);
-        let dcol = self.warps[w as usize].regs as usize + d as usize * 32;
+        let dcol = self.reg_at(w, d);
+        if self.reg_layout.is_scalar(d) {
+            let x = scalar_src(self.alu_src(w, a), d);
+            self.debug_scalar_write(w, group, d);
+            *self.reg_word_mut(dcol) = f(x);
+            self.advance_pcs(w, group, pc);
+            return Ok(Step::Ready(start + lat));
+        }
         // Materialize the source (a 256-byte stack copy) so the destination
         // column may alias it and the compute loop vectorizes.
         let mut av = [0u64; WARP as usize];
@@ -1837,7 +1911,17 @@ impl<'a> Engine<'a> {
         f: impl Fn(u64, u64) -> u64,
     ) -> SimResult<Step> {
         let start = self.charge_sched(w);
-        let dcol = self.warps[w as usize].regs as usize + d as usize * 32;
+        let dcol = self.reg_at(w, d);
+        if self.reg_layout.is_scalar(d) {
+            let (x, y) = (
+                scalar_src(self.alu_src(w, a), d),
+                scalar_src(self.alu_src(w, b), d),
+            );
+            self.debug_scalar_write(w, group, d);
+            *self.reg_word_mut(dcol) = f(x, y);
+            self.advance_pcs(w, group, pc);
+            return Ok(Step::Ready(start + lat));
+        }
         // Materialize both sources (two 256-byte stack copies) so the
         // destination column may alias either one and the compute loop
         // vectorizes regardless of operand kinds.
@@ -1964,12 +2048,14 @@ impl<'a> Engine<'a> {
                     self.lat.smem_ld
                 };
                 self.blocks[block as usize].smem.racecheck_at(pc);
+                let (ra, tid0) = (self.alu_src(w, addr), warp.warp_in_block * WARP);
+                let mut vals = [0u64; WARP as usize];
                 for lane in iter_lanes(group) {
-                    let a = self.eval(w, lane, addr);
-                    let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                    let v = self.blocks[block as usize].smem.load(tid, a, volatile)?;
-                    self.set_reg(w, lane, dst, v);
+                    let a = self.src_val(lane, ra);
+                    let smem = &mut self.blocks[block as usize].smem;
+                    vals[(lane & 31) as usize] = smem.load(tid0 + lane, a, volatile)?;
                 }
+                self.write_dst(w, group, dst, |l| vals[l]);
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(port.start + lat))
             }
@@ -1987,18 +2073,20 @@ impl<'a> Engine<'a> {
                     .smem_port
                     .issue(start, port_int, Ps::ZERO);
                 self.blocks[block as usize].smem.racecheck_at(pc);
+                let (ra, rv, tid0) = (
+                    self.alu_src(w, addr),
+                    self.alu_src(w, val),
+                    warp.warp_in_block * WARP,
+                );
+                let rp = pred.map(|p| self.alu_src(w, p));
                 for lane in iter_lanes(group) {
-                    if let Some(p) = pred {
-                        if self.eval(w, lane, p) == 0 {
-                            continue;
-                        }
+                    if rp.is_some_and(|p| self.src_val(lane, p) == 0) {
+                        continue;
                     }
-                    let a = self.eval(w, lane, addr);
-                    let v = self.eval(w, lane, val);
-                    let tid = self.warps[w as usize].warp_in_block * WARP + lane;
+                    let (a, v) = (self.src_val(lane, ra), self.src_val(lane, rv));
                     self.blocks[block as usize]
                         .smem
-                        .store(tid, a, v, volatile)?;
+                        .store(tid0 + lane, a, v, volatile)?;
                 }
                 self.advance_pcs(w, group, pc);
                 let lat = if volatile {
@@ -2048,9 +2136,7 @@ impl<'a> Engine<'a> {
                     }
                     self.grace = Some(g);
                 }
-                for lane in iter_lanes(group) {
-                    self.set_reg(w, lane, dst, vals[(lane & 31) as usize]);
-                }
+                self.write_dst(w, group, dst, |l| vals[l]);
                 self.advance_pcs(w, group, pc);
                 let mut done = start + self.lat.dram;
                 if remote {
@@ -2329,18 +2415,20 @@ impl<'a> Engine<'a> {
                 let unit = self.devs[rank].sms[sm]
                     .sync_unit
                     .issue(start, int_ps, Ps::ZERO);
+                debug_assert!(
+                    !matches!(val, Operand::Reg(r) if self.reg_layout.is_scalar(r)),
+                    "shuffle reads scalar {val:?}"
+                );
                 // Gather source values first (exchange happens "at once").
-                let mut new = [(0u32, 0u64); WARP as usize];
-                let mut nnew = 0usize;
+                let rv = self.alu_src(w, val);
+                let mut vals = [0u64; WARP as usize];
                 for lane in iter_lanes(group) {
                     let src_lane = match mode {
                         ShflMode::Down(delta) => {
-                            let l = lane + delta;
                             let tile_end = (lane / width + 1) * width;
-                            if l < tile_end && l < nlanes {
-                                l
-                            } else {
-                                lane
+                            match lane.checked_add(delta) {
+                                Some(l) if l < tile_end && l < nlanes => l,
+                                _ => lane,
                             }
                         }
                         ShflMode::Idx(i) => {
@@ -2353,13 +2441,9 @@ impl<'a> Engine<'a> {
                             }
                         }
                     };
-                    let v = self.eval(w, src_lane, val);
-                    new[nnew] = (lane, v);
-                    nnew += 1;
+                    vals[(lane & 31) as usize] = self.src_val(src_lane, rv);
                 }
-                for &(lane, v) in &new[..nnew] {
-                    self.set_reg(w, lane, dst, v);
-                }
+                self.write_dst(w, group, dst, |l| vals[l]);
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(unit.start + lat))
             }
@@ -2408,9 +2492,7 @@ impl<'a> Engine<'a> {
                 let start = self.charge_sched(w);
                 let done = start + self.lat.clock_read;
                 let cycles = self.arch.clock().to_cycles_u64(done);
-                for lane in iter_lanes(group) {
-                    self.set_reg(w, lane, dst, cycles);
-                }
+                self.write_dst(w, group, dst, |_| cycles);
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
             }
@@ -3221,24 +3303,147 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Number of architectural registers a program can touch: max referenced
-/// index + 1, scanned once per launch. Derived from the instructions rather
-/// than `Kernel::regs_per_thread` so hand-assembled kernels with a stale
-/// register count can never index out of its register slot.
-fn reg_rows(program: &Program) -> usize {
-    let mut rows = 0usize;
-    for i in &program.instrs {
-        if let Some(d) = crate::verify::written_reg(i) {
-            rows = rows.max(d as usize + 1);
-        }
-        for op in crate::verify::input_operands(i) {
-            if let Operand::Reg(r) = op {
-                rows = rows.max(r as usize + 1);
+/// Where a launch keeps each register in a warp's slot: one word for the
+/// whole warp (*scalar*) or a 32-word column, one word per lane.
+///
+/// A register is scalar when every instruction that writes it yields one
+/// value for the whole warp, no shuffle reads it, and the kernel has no
+/// conditional branch whose condition may differ across lanes. The writes
+/// that yield one value are ALU ops, `Mov` and `I2F` whose inputs are
+/// immediates, params, specials other than `Tid`/`LaneId`/`GlobalTid`, or
+/// scalar registers, plus `ReadClock` and `LdGlobal` with a uniform buffer
+/// and index. Atomic old values, shared loads, shuffle results and stream
+/// accumulators are columns, and so is every register of a kernel with a
+/// lane-varying branch.
+///
+/// The premises make the rule exact. Without a lane-varying branch every
+/// step's group is the warp's whole live mask and no lane exits early, so
+/// each write reaches every lane at once. Without a shuffle read, no lane
+/// can observe another lane's copy, an exited lane's included. The rule
+/// deliberately ignores the verifier's divergence regions: under min-PC
+/// scheduling one group can run past the join with a partial mask while
+/// another is parked at a warp barrier inside the region.
+struct RegLayout {
+    /// Bit `r` is set when register `r` is scalar.
+    scalar: u32,
+    /// Offset of each register's column or word within a slot: columns
+    /// first, in register order, then the scalar words.
+    at: [u32; NUM_REGS],
+    /// Words per warp slot: one per scalar register, 32 per column, for
+    /// every register up to the highest index the program references.
+    slot_words: usize,
+}
+
+const _: () = assert!(NUM_REGS <= 32, "RegLayout::scalar is a u32 mask");
+
+impl RegLayout {
+    /// Scan `program` once. Register indices must be below `NUM_REGS`,
+    /// which launch validation guarantees.
+    fn new(program: &Program) -> RegLayout {
+        use crate::verify::{regs_used, written_reg};
+        let mut nregs = 0usize;
+        let mut shfl_read = 0u32;
+        for i in &program.instrs {
+            for r in regs_used(i) {
+                nregs = nregs.max(r as usize + 1);
+            }
+            if let Instr::Shfl {
+                val: Operand::Reg(r),
+                ..
+            } = *i
+            {
+                shfl_read |= 1 << r;
             }
         }
+        // Greatest fixpoint: start from every register no shuffle reads and
+        // drop any with a write that may differ across lanes, until no
+        // write changes. Registers start zeroed, so one that is never
+        // written stays scalar.
+        let mut scalar = (((1u64 << nregs) - 1) as u32) & !shfl_read;
+        loop {
+            let before = scalar;
+            for i in &program.instrs {
+                if let Some(d) = written_reg(i) {
+                    if !writes_uniform(i, scalar) {
+                        scalar &= !(1 << d);
+                    }
+                }
+            }
+            if scalar == before {
+                break;
+            }
+        }
+        let lane_varying_branch = program.instrs.iter().any(|i| match *i {
+            Instr::BraIf(c, _) | Instr::BraIfZ(c, _) => !uniform(c, scalar),
+            _ => false,
+        });
+        if lane_varying_branch {
+            scalar = 0;
+        }
+        let mut at = [0u32; NUM_REGS];
+        let mut words = 0u32;
+        for want_scalar in [false, true] {
+            for (r, slot) in at.iter_mut().enumerate().take(nregs) {
+                if (scalar & (1 << r) != 0) == want_scalar {
+                    *slot = words;
+                    words += if want_scalar { 1 } else { WARP };
+                }
+            }
+        }
+        RegLayout {
+            scalar,
+            at,
+            slot_words: words as usize,
+        }
     }
-    debug_assert!(rows <= NUM_REGS);
-    rows
+
+    #[inline]
+    fn is_scalar(&self, r: Reg) -> bool {
+        self.scalar & (1 << r) != 0
+    }
+}
+
+/// Whether `op` has one value for the whole warp, given the `scalar` set.
+fn uniform(op: Operand, scalar: u32) -> bool {
+    match op {
+        Operand::Reg(r) => scalar & (1 << r) != 0,
+        Operand::Imm(_) | Operand::Param(_) => true,
+        Operand::Sp(s) => !matches!(s, Special::Tid | Special::LaneId | Special::GlobalTid),
+    }
+}
+
+/// Whether instruction `i` writes one value for the whole warp, given the
+/// `scalar` set (see [`RegLayout`]).
+fn writes_uniform(i: &Instr, scalar: u32) -> bool {
+    use Instr::*;
+    let u = |op| uniform(op, scalar);
+    match *i {
+        IAdd(_, a, b)
+        | ISub(_, a, b)
+        | IMul(_, a, b)
+        | IMin(_, a, b)
+        | IAnd(_, a, b)
+        | CmpLt(_, a, b)
+        | CmpEq(_, a, b)
+        | FAdd(_, a, b)
+        | FMul(_, a, b)
+        | FAdd32(_, a, b) => u(a) && u(b),
+        Mov(_, a) | I2F(_, a) => u(a),
+        ReadClock(_) => true,
+        LdGlobal { buf, idx, .. } => u(buf) && u(idx),
+        _ => false,
+    }
+}
+
+/// The value of a source that a scalar destination `d` reads. The layout
+/// only makes `d` scalar when every source of its writes is uniform, so
+/// anything else is a bug in [`RegLayout::new`].
+#[inline]
+fn scalar_src(src: AluSrc, d: Reg) -> u64 {
+    match src {
+        AluSrc::Const(v) => v,
+        _ => panic!("scalar register r{d} written from a lane-varying source"),
+    }
 }
 
 /// Buffer `b` named by a kernel's global-memory operand; a bad id faults.
@@ -3310,6 +3515,123 @@ mod tests {
         assert_eq!(lanes, vec![0, 5, 7]);
         assert_eq!(iter_lanes(0).count(), 0);
         assert_eq!(iter_lanes(u32::MAX).count(), 32);
+    }
+
+    /// The scalar mask and slot words of each kernel's register layout.
+    #[test]
+    fn register_layout_keeps_one_word_per_warp_uniform_register() {
+        use crate::isa::{Kernel, KernelBuilder, Operand::*};
+        use crate::kernels::{self, SyncOp};
+        let hand = |name: &str, emit: &dyn Fn(&mut KernelBuilder)| {
+            let mut b = KernelBuilder::new(name);
+            emit(&mut b);
+            b.exit();
+            b.build(0)
+        };
+        let mut cases: Vec<(String, Kernel, u32, usize)> = Vec::new();
+        for op in [
+            SyncOp::Tile(32),
+            SyncOp::Tile(8),
+            SyncOp::Coalesced,
+            SyncOp::ShflTile,
+            SyncOp::ShflCoalesced,
+            SyncOp::Block,
+            SyncOp::Grid,
+            SyncOp::MultiGrid,
+        ] {
+            // `acc` is r0, the two clocks r1 and r2. A shuffle op reads
+            // `acc`, which makes it a column.
+            let shfl = matches!(op, SyncOp::ShflTile | SyncOp::ShflCoalesced);
+            let (chain, thr) = if shfl {
+                ((0b110, 32 + 2), (0b0, 32))
+            } else {
+                ((0b111, 3), (0b1, 1))
+            };
+            let name = format!("{op:?}");
+            cases.push((
+                format!("chain {name}"),
+                kernels::sync_chain(op, 4),
+                chain.0,
+                chain.1,
+            ));
+            cases.push((
+                format!("throughput {name}"),
+                kernels::sync_throughput(op, 4),
+                thr.0,
+                thr.1,
+            ));
+        }
+        // A branch on a lane-dependent condition: every register a column.
+        cases.push((
+            "coalesced partial".into(),
+            kernels::coalesced_partial_chain(13, 4),
+            0,
+            3 * 32,
+        ));
+        cases.push(("warp probe".into(), kernels::warp_probe(), 0, 3 * 32));
+        cases.push((
+            "atomic old value".into(),
+            hand("atomic", &|b| {
+                b.atomic_iadd(Some(0), Param(0), Imm(0), Imm(1));
+                b.mov(1, Imm(5));
+            }),
+            0b10,
+            32 + 1,
+        ));
+        cases.push((
+            "load by GlobalTid, load by immediate".into(),
+            hand("loads", &|b| {
+                b.push(Instr::LdGlobal {
+                    dst: 0,
+                    buf: Param(0),
+                    idx: Sp(Special::GlobalTid),
+                });
+                b.push(Instr::LdGlobal {
+                    dst: 1,
+                    buf: Param(0),
+                    idx: Imm(3),
+                });
+            }),
+            0b10,
+            32 + 1,
+        ));
+        // r2 is read but never written (zero in every lane); r1 is never
+        // referenced but still below the highest index.
+        cases.push((
+            "read of a never-written register".into(),
+            hand("unwritten", &|b| {
+                b.mov(0, Sp(Special::Tid));
+                b.push(Instr::StGlobal {
+                    buf: Param(0),
+                    idx: Reg(0),
+                    val: Reg(2),
+                });
+            }),
+            0b110,
+            32 + 2,
+        ));
+        // Listed backwards, so r3 turns into a column only on the fourth
+        // pass over the program.
+        cases.push((
+            "mov chain from a column".into(),
+            hand("mov-chain", &|b| {
+                b.mov(3, Reg(2));
+                b.mov(2, Reg(1));
+                b.mov(1, Reg(0));
+                b.mov(0, Sp(Special::LaneId));
+                b.mov(4, Reg(4));
+            }),
+            0b10000,
+            4 * 32 + 1,
+        ));
+        for (name, kernel, scalar, words) in cases {
+            let layout = RegLayout::new(&kernel.program);
+            assert_eq!(
+                (layout.scalar, layout.slot_words),
+                (scalar, words),
+                "{name}: (scalar mask, slot words)"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The simulated GPU system: devices, memory, and kernel launches.
 
 use crate::engine::{Engine, HazardReport, TraceEvent};
-use crate::isa::Kernel;
+use crate::isa::{Instr, Kernel, NUM_REGS};
 use crate::mem::{BufData, BufId, Buffer};
 use crate::profile::ProfileReport;
 use gpu_arch::GpuArch;
@@ -641,6 +641,23 @@ impl GpuSystem {
             return Err(SimError::InvalidLaunch(
                 "multi_grid.sync() requires cudaLaunchCooperativeKernelMultiDevice".into(),
             ));
+        }
+        // Malformed instructions, checked before the lint and the engine:
+        // both index per-register tables of NUM_REGS entries, and a shuffle
+        // divides lane numbers by its width.
+        for (pc, i) in launch.kernel.program.instrs.iter().enumerate() {
+            if let Some(r) = crate::verify::regs_used(i).find(|&r| r as usize >= NUM_REGS) {
+                return Err(SimError::InvalidLaunch(format!(
+                    "kernel {:?} pc {pc}: register r{r} beyond the {NUM_REGS}-register file",
+                    launch.kernel.name
+                )));
+            }
+            if let Instr::Shfl { width: 0, .. } = i {
+                return Err(SimError::InvalidLaunch(format!(
+                    "kernel {:?} pc {pc}: shuffle of width 0",
+                    launch.kernel.name
+                )));
+            }
         }
         // Opt-in static synchronization lint: error-severity findings (a
         // divergent barrier, an out-of-bounds constant shared address, an

@@ -539,6 +539,15 @@ pub(crate) fn written_reg(i: &Instr) -> Option<Reg> {
     }
 }
 
+/// Every register an instruction writes or reads.
+pub(crate) fn regs_used(i: &Instr) -> impl Iterator<Item = Reg> {
+    let reads = input_operands(i).into_iter().filter_map(|op| match op {
+        Operand::Reg(r) => Some(r),
+        _ => None,
+    });
+    written_reg(i).into_iter().chain(reads)
+}
+
 fn special_taint(s: Special) -> u8 {
     match s {
         Special::Tid | Special::LaneId => TAINT_THREAD,

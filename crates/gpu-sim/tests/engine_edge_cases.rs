@@ -104,6 +104,33 @@ fn shuffle_idx_respects_tile_width() {
     }
 }
 
+/// A `Down` delta that overflows the lane index names a source lane out of
+/// range, so every lane keeps its own value.
+#[test]
+fn shuffle_down_by_u32_max_is_the_identity() {
+    let mut sys = GpuSystem::single(v100(1));
+    let out = sys.alloc(0, 4);
+    let mut b = KernelBuilder::new("shfl-down-max");
+    let r = b.reg();
+    b.mov(r, Sp(Special::LaneId));
+    b.push(Instr::Shfl {
+        dst: r,
+        val: Reg(r),
+        kind: ShflKind::Tile,
+        mode: ShflMode::Down(u32::MAX),
+        width: 32,
+    });
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::LaneId),
+        val: Reg(r),
+    });
+    b.exit();
+    sys.run_plain(&GridLaunch::single(b.build(0), 1, 4, vec![out.0 as u64]))
+        .unwrap();
+    assert_eq!(sys.read_u64(out), vec![0, 1, 2, 3]);
+}
+
 #[test]
 fn predicated_store_skips_false_lanes() {
     let mut sys = GpuSystem::single(v100(1));
@@ -496,6 +523,66 @@ fn strided_loops_do_not_wrap() {
         assert_eq!(out[0], 2.0, "shared={shared}: one element, VALS[1]");
         assert_eq!(dur, stream(4, shared).1, "shared={shared}: one element");
     }
+}
+
+/// `kernel` on one warp must be rejected as an invalid launch, with or
+/// without the static lint armed.
+fn assert_rejected_at_launch(kernel: Kernel, checked: bool) {
+    let mut sys = GpuSystem::single(v100(1));
+    let opts = if checked {
+        RunOptions::new().check()
+    } else {
+        RunOptions::new()
+    };
+    let e = sys.execute(&GridLaunch::single(kernel, 1, 32, vec![]), &opts);
+    assert!(
+        matches!(e, Err(SimError::InvalidLaunch(_))),
+        "checked={checked}: {e:?}"
+    );
+}
+
+fn zero_width_shuffle(mode: ShflMode) -> Kernel {
+    let mut b = KernelBuilder::new("shfl-width-0");
+    let r = b.reg();
+    b.mov(r, Sp(Special::LaneId));
+    b.push(Instr::Shfl {
+        dst: r,
+        val: Reg(r),
+        kind: ShflKind::Tile,
+        mode,
+        width: 0,
+    });
+    b.exit();
+    b.build(0)
+}
+
+#[test]
+fn zero_width_shuffle_down_is_rejected_at_launch() {
+    assert_rejected_at_launch(zero_width_shuffle(ShflMode::Down(1)), false);
+}
+
+#[test]
+fn zero_width_shuffle_idx_is_rejected_at_launch() {
+    assert_rejected_at_launch(zero_width_shuffle(ShflMode::Idx(0)), false);
+}
+
+/// Reads register 20 of a 16-register file.
+fn reads_reg_20() -> Kernel {
+    let mut b = KernelBuilder::new("reg-20");
+    let r = b.reg();
+    b.mov(r, Reg(20));
+    b.exit();
+    b.build(0)
+}
+
+#[test]
+fn register_past_the_file_is_rejected_at_launch() {
+    assert_rejected_at_launch(reads_reg_20(), false);
+}
+
+#[test]
+fn register_past_the_file_is_rejected_before_the_lint() {
+    assert_rejected_at_launch(reads_reg_20(), true);
 }
 
 #[test]

@@ -17,7 +17,11 @@
 //! the peer, a one-warp `MemCombine` whose lanes' ranges overlap, one whose
 //! buffers differ across the warp, a `MemStream` over a dense buffer, loads
 //! and stores whose buffer differs across the warp, and a warp-uniform load
-//! that runs past the buffer's end.
+//! that runs past the buffer's end. The last five mix registers that hold one
+//! value per warp with per-lane ones: a uniform counted loop around a
+//! per-lane accumulator, a uniform load added to `Tid`, a uniform value that
+//! a shuffle reads, a 48-thread multi-grid chain with a tail warp, and
+//! `GpuRank * WarpId` arithmetic on two GPUs.
 //!
 //! Any engine refactor — event queue, warp state layout, scheduling fast
 //! paths — must leave every line byte-identical: these numbers are the
@@ -29,7 +33,7 @@
 
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
-use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, Special};
+use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, ShflKind, ShflMode, Special};
 use gpu_sim::kernels::{self, SyncOp};
 use gpu_sim::{BufId, GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
 use sim_core::Ps;
@@ -66,6 +70,11 @@ v100-combine-lane-buffers: duration=373357 instrs=5 warps=1 mem=4734d2b01a80a478
 v100-dense-memstream: duration=356808 instrs=16 warps=4 mem=d68683b5f09c05bd trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-ldst-lane-buffers: duration=350611 instrs=14 warps=2 mem=f8841d2345e4d52d trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-uniform-load-past-end: error=MemoryFault 434a4998fc36faa7
+v100-uniform-loop-lane-acc: duration=101379 instrs=204 warps=6 mem=d489f69e932b8d3a trace=c1b9d420b4d22f94 profile=669b18c6d2d9c95b
+v100-uniform-load-plus-tid: duration=345275 instrs=20 warps=4 mem=f98521e619741b25 trace=1610a1272461a990 profile=669b18c6d2d9c95b
+v100-shfl-reads-uniform: duration=38932 instrs=36 warps=4 mem=52f0b13c27a45825 trace=62ba039d6e63b276 profile=669b18c6d2d9c95b
+v100-dgx1-mgrid-x2-tail-48: duration=24803680 instrs=160 warps=16 mem=f7f1737f2614b285 trace=5729f1971e524cf0 profile=669b18c6d2d9c95b
+v100-dgx1-x2-rank-warp: duration=19056 instrs=126 warps=18 mem=6d3988e3ff475c25 trace=ecbe88b1d69739a3 profile=669b18c6d2d9c95b
 ";
 
 /// FNV-1a over a byte string: a stable digest for long artifacts.
@@ -330,6 +339,107 @@ fn uniform_load_past_end() -> Kernel {
         dst: x,
         buf: Param(0),
         idx: Reg(i),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// A per-lane accumulator (`x`, seeded from `Tid`) around a 6-trip loop
+/// whose counter and branch condition hold one value for the whole warp.
+fn uniform_loop_lane_acc() -> Kernel {
+    let mut b = KernelBuilder::new("uniform-loop-lane-acc");
+    let x = b.reg();
+    let i = b.reg();
+    let c = b.reg();
+    b.mov(x, Sp(Special::Tid));
+    b.mov(i, Imm(0));
+    b.label("loop");
+    b.iadd(x, Reg(x), Reg(i));
+    b.imul(x, Reg(x), Imm(3));
+    b.iadd(i, Reg(i), Imm(1));
+    b.cmp_lt(c, Reg(i), Imm(6));
+    b.bra_if(Reg(c), "loop");
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(x),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// A load whose buffer and index are the same for the whole warp, added to
+/// `Tid` and stored per thread.
+fn uniform_load_plus_tid() -> Kernel {
+    let mut b = KernelBuilder::new("uniform-load-plus-tid");
+    let i = b.reg();
+    let x = b.reg();
+    let y = b.reg();
+    b.mov(i, Imm(2));
+    b.push(Instr::LdGlobal {
+        dst: x,
+        buf: Param(0),
+        idx: Reg(i),
+    });
+    b.iadd(y, Reg(x), Sp(Special::Tid));
+    b.push(Instr::StGlobal {
+        buf: Param(1),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(y),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// `r` holds one value per warp but a shuffle reads it; `s` derives from
+/// `r`, and `k` from `BlockId` alone.
+fn shfl_reads_uniform() -> Kernel {
+    let mut b = KernelBuilder::new("shfl-reads-uniform");
+    let r = b.reg();
+    let q = b.reg();
+    let s = b.reg();
+    let k = b.reg();
+    b.iadd(r, Sp(Special::WarpId), Imm(7));
+    b.push(Instr::Shfl {
+        dst: q,
+        val: Reg(r),
+        kind: ShflKind::Tile,
+        mode: ShflMode::Idx(3),
+        width: 8,
+    });
+    b.imul(s, Reg(r), Imm(100));
+    b.mov(k, Sp(Special::BlockId));
+    b.iadd(s, Reg(s), Reg(q));
+    b.iadd(s, Reg(s), Reg(k));
+    b.iadd(s, Reg(s), Sp(Special::LaneId));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(s),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// `GpuRank * WarpId + BlockId`, one value per warp, stored per thread and
+/// scaled into a per-thread sum with `GlobalTid`.
+fn rank_warp_arith() -> Kernel {
+    let mut b = KernelBuilder::new("rank-warp-arith");
+    let r = b.reg();
+    let y = b.reg();
+    b.imul(r, Sp(Special::GpuRank), Sp(Special::WarpId));
+    b.iadd(r, Reg(r), Sp(Special::BlockId));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(r),
+    });
+    b.imul(y, Reg(r), Imm(1000));
+    b.iadd(y, Reg(y), Sp(Special::GlobalTid));
+    b.push(Instr::StGlobal {
+        buf: Param(1),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(y),
     });
     b.exit();
     b.build(0)
@@ -633,13 +743,68 @@ fn cases() -> Vec<Case> {
         },
         single(
             "v100-uniform-load-past-end",
-            sms(v100, 1),
+            sms(v100.clone(), 1),
             uniform_load_past_end(),
             1,
             32,
             vec![32],
             new(),
         ),
+        single(
+            "v100-uniform-loop-lane-acc",
+            sms(v100.clone(), 2),
+            uniform_loop_lane_acc(),
+            3,
+            64,
+            vec![3 * 64],
+            traced(),
+        ),
+        Case {
+            init: Some(int_words),
+            ..single(
+                "v100-uniform-load-plus-tid",
+                sms(v100.clone(), 1),
+                uniform_load_plus_tid(),
+                2,
+                64,
+                vec![8, 2 * 64],
+                traced(),
+            )
+        },
+        single(
+            "v100-shfl-reads-uniform",
+            sms(v100.clone(), 2),
+            shfl_reads_uniform(),
+            2,
+            64,
+            vec![2 * 64],
+            traced(),
+        ),
+        Case {
+            opts: traced(),
+            ..chain(
+                "v100-dgx1-mgrid-x2-tail-48",
+                sms(v100.clone(), 2),
+                NodeTopology::dgx1_v100(),
+                vec![0, 1],
+                (SyncOp::MultiGrid, 4),
+                4,
+                48,
+            )
+        },
+        Case {
+            name: "v100-dgx1-x2-rank-warp",
+            arch: sms(v100, 2),
+            topology: NodeTopology::dgx1_v100(),
+            devices: vec![0, 1],
+            kind: LaunchKind::CooperativeMultiDevice,
+            kernel: rank_warp_arith(),
+            grid_dim: 3,
+            block_dim: 96,
+            bufs: vec![3 * 96, 3 * 96],
+            init: None,
+            opts: traced(),
+        },
     ]
 }
 
