@@ -19,33 +19,31 @@
 //!                             # recall drops below the baseline file
 //! repro --profile grid_sync   # re-run an experiment with syncprof armed:
 //!                             # summary to stdout, artifacts under --out
-//! repro --bench               # run the fixed perf suite and write the
-//!                             # tracked baseline (BENCH_10.json) to the
-//!                             # current directory
 //! repro --faults 7 sync_resilience
 //!                             # seed for the fault-injection experiments
 //! ```
 //!
 //! Every artifact lands under the one `--out DIR` with a fixed per-artifact
-//! filename (the old `--bench-out` / `--scorecard-out` spellings are
-//! rejected with a pointer here):
+//! filename:
 //!
 //! ```text
 //! experiments      DIR/<name>.txt
 //! --profile NAME   DIR/<name>.profile.json, DIR/<name>.trace.json
 //! --check          DIR/audit.json
 //! --scorecard      DIR/SCORECARD.json
-//! --bench          DIR/BENCH_10.json
 //! ```
 //!
-//! Without `--out`, experiments/audit/scorecard print to stdout only and
-//! `--bench` writes its baseline to the current directory. Modes compose in
-//! one invocation because the filenames cannot collide; `--out` naming an
-//! existing non-directory is a conflict and exits 2.
+//! Without `--out`, every mode prints to stdout only. Modes compose in one
+//! invocation because the filenames cannot collide; `--out` naming an
+//! existing non-directory is a conflict and exits 2. Removed flags
+//! (`--bench`, `--bench-out`, `--scorecard-out`) exit 2 with a pointer to
+//! their replacement.
 //!
-//! Experiment names are validated up front: a typo anywhere in the argument
-//! list aborts before any experiment runs or the `--out` directory is
-//! created, so a failed invocation never leaves partial results behind.
+//! The whole command line is validated up front: a bad flag value, an
+//! unknown profile or experiment name, or a `--scorecard-gate` without
+//! `--scorecard` or with an unreadable baseline aborts before any mode runs
+//! or the `--out` directory is created, so a failed invocation never
+//! leaves partial results behind.
 //!
 //! Experiment *failures* (an error or panic inside one runner) do not stop
 //! the others: every requested experiment runs, successes are printed and
@@ -56,14 +54,17 @@
 //! `--jobs` — per-experiment wall-clock progress goes to stderr instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
+use synccheck::corpus::Scorecard;
 use syncmark_bench::experiments::{Experiment, EXPERIMENTS};
-use syncmark_bench::profiling;
+use syncmark_bench::profiling::{self, ProfileEntry};
 
 fn usage_and_list() {
     println!(
         "usage: repro [--jobs N] [--shards N] [--out DIR] [--check] [--scorecard] \
-         [--scorecard-gate PATH] [--bench] [--faults SEED] \
+         [--scorecard-gate PATH] [--faults SEED] \
          [--profile NAME]... [all | list | <experiment>...]\n"
     );
     println!("--shards N runs each multi-device launch on N rank workers; 0 (the default)");
@@ -73,11 +74,7 @@ fn usage_and_list() {
     println!("  experiments     DIR/<name>.txt");
     println!("  --profile NAME  DIR/<name>.profile.json, DIR/<name>.trace.json");
     println!("  --check         DIR/audit.json");
-    println!("  --scorecard     DIR/{SCORECARD_FILE}");
-    println!(
-        "  --bench         DIR/{} (current directory without --out)\n",
-        syncmark_bench::perf::DEFAULT_BENCH_FILE
-    );
+    println!("  --scorecard     DIR/{SCORECARD_FILE}\n");
     println!("available experiments:");
     for (name, desc, _) in EXPERIMENTS {
         println!("  {name:<10} {desc}");
@@ -92,13 +89,54 @@ fn usage_and_list() {
 /// baseline artifact at the repo root).
 const SCORECARD_FILE: &str = "SCORECARD.json";
 
-/// Run one syncprof profile: summary to stdout; when `--out` was given,
-/// `<name>.profile.json` and `<name>.trace.json` land next to it.
-fn run_profile(name: &str, out_dir: Option<&std::path::Path>) {
-    let Some((_, _, f)) = profiling::find(name) else {
-        eprintln!("unknown profile {name:?} — try `repro list`");
-        std::process::exit(2);
+/// Flags that no longer exist, each with a pointer to its replacement.
+const REMOVED_FLAGS: [(&str, &str); 3] = [
+    (
+        "--bench",
+        "was removed: perfbench is the benchmark of record (see perfbench/README.md)",
+    ),
+    (
+        "--bench-out",
+        "was removed with --bench: perfbench is the benchmark of record \
+         (see perfbench/README.md)",
+    ),
+    (
+        "--scorecard-out",
+        "was replaced by the unified --out convention: \
+         --scorecard --out DIR writes DIR/SCORECARD.json",
+    ),
+];
+
+/// Report a command-line error and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Take and parse the value after `flag`; a missing value or (for a
+/// numeric flag) a non-number is a command-line error.
+fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str, needs: &str) -> T {
+    let Some(v) = args.next() else {
+        usage_error(&format!("{flag} requires {needs}"));
     };
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} requires a number, got {v:?}")))
+}
+
+/// Write one artifact into the (existing) `--out` directory and return its
+/// path; a failed write exits 1.
+fn write_artifact(dir: &Path, file: &str, bytes: impl AsRef<[u8]>) -> PathBuf {
+    let path = dir.join(file);
+    if let Err(e) = std::fs::write(&path, bytes) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    path
+}
+
+/// Run one syncprof profile: summary to stdout; under `--out`,
+/// `<name>.profile.json` and `<name>.trace.json` land next to it.
+fn run_profile(&(name, _, f): &ProfileEntry, out_dir: Option<&Path>) {
     let t = Instant::now();
     let run = match f() {
         Ok(run) => run,
@@ -117,276 +155,56 @@ fn run_profile(name: &str, out_dir: Option<&std::path::Path>) {
             ("profile.json", run.report.to_json()),
             ("trace.json", run.trace_json),
         ] {
-            let path = dir.join(format!("{name}.{suffix}"));
-            if let Err(e) = std::fs::write(&path, &bytes) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
+            let path = write_artifact(dir, &format!("{name}.{suffix}"), bytes);
             eprintln!("[repro] wrote {}", path.display());
         }
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
-        if pos + 1 >= args.len() {
-            eprintln!("--jobs requires a worker count");
-            std::process::exit(2);
-        }
-        let n: usize = match args[pos + 1].parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--jobs requires a number, got {:?}", args[pos + 1]);
-                std::process::exit(2);
+/// Run the bug corpus and print its scorecard; with a gate baseline, any
+/// (pass, class) recall drop exits 1.
+fn run_scorecard(out_dir: Option<&Path>, gate: Option<&Scorecard>) {
+    // Like the audit, the corpus runs serially in a fixed order: the
+    // scorecard must be byte-identical whatever `--jobs` was set to.
+    let sc = synccheck::corpus::scorecard();
+    print!("{}", sc.render());
+    if let Some(dir) = out_dir {
+        let path = write_artifact(dir, SCORECARD_FILE, sc.to_json());
+        eprintln!("[repro] wrote {}", path.display());
+    }
+    if let Some(baseline) = gate {
+        let violations = sc.recall_regressions(baseline);
+        if !violations.is_empty() {
+            for v in &violations {
+                eprintln!("[repro] scorecard regression: {v}");
             }
-        };
-        sync_micro::sweep::Sweep::set_default_jobs(n);
-        args.drain(pos..pos + 2);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--shards") {
-        if pos + 1 >= args.len() {
-            eprintln!("--shards requires a worker count (0 = single-queue engine)");
-            std::process::exit(2);
-        }
-        let n: usize = match args[pos + 1].parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--shards requires a number, got {:?}", args[pos + 1]);
-                std::process::exit(2);
-            }
-        };
-        gpu_sim::set_default_shards(n);
-        args.drain(pos..pos + 2);
-    }
-    // The per-artifact output flags were unified under `--out DIR`; reject
-    // the old spellings with a pointer instead of silently ignoring them.
-    for (old, new) in [
-        ("--bench-out", "--bench --out DIR writes DIR/BENCH_10.json"),
-        (
-            "--scorecard-out",
-            "--scorecard --out DIR writes DIR/SCORECARD.json",
-        ),
-    ] {
-        if args.iter().any(|a| a == old) {
-            eprintln!("{old} was replaced by the unified --out convention: {new}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--faults") {
-        if pos + 1 >= args.len() {
-            eprintln!("--faults requires a seed");
-            std::process::exit(2);
-        }
-        let seed: u64 = match args[pos + 1].parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--faults requires a number, got {:?}", args[pos + 1]);
-                std::process::exit(2);
-            }
-        };
-        syncmark_bench::faults::set_seed(seed);
-        args.drain(pos..pos + 2);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        if pos + 1 >= args.len() {
-            eprintln!("--out requires a directory");
-            std::process::exit(2);
-        }
-        out_dir = Some(args.remove(pos + 1).into());
-        args.remove(pos);
-    }
-    if let Some(dir) = &out_dir {
-        if dir.exists() && !dir.is_dir() {
-            eprintln!(
-                "--out {} names an existing file; pass a directory (artifacts \
-                 get fixed per-mode filenames under it)",
-                dir.display()
-            );
-            std::process::exit(2);
-        }
-    }
-    let mut profiles: Vec<String> = Vec::new();
-    while let Some(pos) = args.iter().position(|a| a == "--profile") {
-        if pos + 1 >= args.len() {
-            eprintln!("--profile requires a profile name — try `repro list`");
-            std::process::exit(2);
-        }
-        profiles.push(args.remove(pos + 1));
-        args.remove(pos);
-    }
-    // Validate profile names up front, like experiment names below: a typo
-    // aborts before anything runs or the --out directory is created.
-    let bad_profiles: Vec<&String> = profiles
-        .iter()
-        .filter(|n| profiling::find(n).is_none())
-        .collect();
-    if !bad_profiles.is_empty() {
-        for name in bad_profiles {
-            eprintln!("unknown profile {name:?} — try `repro list`");
-        }
-        std::process::exit(2);
-    }
-    if !profiles.is_empty() {
-        if let Some(dir) = &out_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        }
-        for name in &profiles {
-            run_profile(name, out_dir.as_deref());
-        }
-        if args.is_empty() {
-            return;
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        args.remove(pos);
-        use syncmark_bench::perf;
-        let path = match &out_dir {
-            Some(dir) => dir.join(perf::DEFAULT_BENCH_FILE),
-            None => perf::DEFAULT_BENCH_FILE.into(),
-        };
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                std::process::exit(1);
-            }
-        }
-        let records = perf::run_suite();
-        let json = perf::to_json(&records);
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
-        eprintln!(
-            "[repro] wrote {} ({} experiments, {} worker(s), {} shard(s))",
-            path.display(),
-            records.len(),
-            sync_micro::sweep::jobs(),
-            gpu_sim::default_shards()
-        );
-        if args.is_empty() {
-            return;
-        }
+        eprintln!("[repro] scorecard recall gate passed");
     }
-    let mut scorecard_gate: Option<std::path::PathBuf> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--scorecard-gate") {
-        if pos + 1 >= args.len() {
-            eprintln!("--scorecard-gate requires a baseline file path");
-            std::process::exit(2);
-        }
-        scorecard_gate = Some(args.remove(pos + 1).into());
-        args.remove(pos);
+}
+
+/// Run the synchronization-hazard audit; any unsuppressed violation
+/// exits 1.
+fn run_check(out_dir: Option<&Path>) {
+    // The audit is deliberately serial and jobs-independent: its report
+    // must be byte-identical whatever `--jobs` was set to.
+    let report = synccheck::audit();
+    print!("{}", report.render());
+    if let Some(dir) = out_dir {
+        let path = write_artifact(dir, "audit.json", report.to_json());
+        eprintln!("[repro] wrote {}", path.display());
     }
-    if let Some(pos) = args.iter().position(|a| a == "--scorecard") {
-        args.remove(pos);
-        // Like the audit, the corpus runs serially in a fixed order: the
-        // scorecard must be byte-identical whatever `--jobs` was set to.
-        let sc = synccheck::corpus::scorecard();
-        print!("{}", sc.render());
-        if let Some(dir) = &out_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-            let path = dir.join(SCORECARD_FILE);
-            if let Err(e) = std::fs::write(&path, sc.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("[repro] wrote {}", path.display());
-        }
-        if let Some(path) = &scorecard_gate {
-            let baseline = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let baseline = match synccheck::corpus::Scorecard::from_json(&baseline) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("baseline {} is not a scorecard: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let violations = sc.recall_regressions(&baseline);
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("[repro] scorecard regression: {v}");
-                }
-                std::process::exit(1);
-            }
-            eprintln!("[repro] scorecard recall gate passed");
-        }
-        if args.is_empty() {
-            return;
-        }
-    } else if scorecard_gate.is_some() {
-        eprintln!("--scorecard-gate is only meaningful with --scorecard");
-        std::process::exit(2);
+    let bad = report.unsuppressed();
+    if bad > 0 {
+        eprintln!("[repro] synccheck: {bad} unsuppressed violation(s)");
+        std::process::exit(1);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--check") {
-        args.remove(pos);
-        // The audit is deliberately serial and jobs-independent: its report
-        // must be byte-identical whatever `--jobs` was set to.
-        let report = synccheck::audit();
-        print!("{}", report.render());
-        if let Some(dir) = &out_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-            let path = dir.join("audit.json");
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("[repro] wrote {}", path.display());
-        }
-        let bad = report.unsuppressed();
-        if bad > 0 {
-            eprintln!("[repro] synccheck: {bad} unsuppressed violation(s)");
-            std::process::exit(1);
-        }
-        if args.is_empty() {
-            return;
-        }
-    }
-    if args.is_empty() || args[0] == "list" || args[0] == "--help" {
-        usage_and_list();
-        return;
-    }
-    let names: Vec<&str> = if args[0] == "all" {
-        EXPERIMENTS.iter().map(|(n, _, _)| *n).collect()
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
-    // Validate every name before running anything (or touching --out).
-    let mut selected: Vec<&Experiment> = Vec::new();
-    let mut unknown = Vec::new();
-    for name in &names {
-        match EXPERIMENTS.iter().find(|(n, _, _)| n == name) {
-            Some(e) => selected.push(e),
-            None => unknown.push(*name),
-        }
-    }
-    if !unknown.is_empty() {
-        for name in unknown {
-            eprintln!("unknown experiment {name:?} — try `repro list`");
-        }
-        std::process::exit(2);
-    }
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
+}
+
+/// Run the selected registry entries, print each table and write it under
+/// `--out`; any failed experiment exits 1 after the rest have run.
+fn run_experiments(selected: Vec<&Experiment>, out_dir: Option<&Path>) {
     // Run the registry entries themselves as a sweep (experiments nest their
     // own cell-level sweeps on the same worker setting). A panic inside one
     // runner is contained to its cell: the rest still complete, partial
@@ -410,12 +228,8 @@ fn main() {
         match out {
             Ok(out) => {
                 println!("{out}");
-                if let Some(dir) = &out_dir {
-                    let path = dir.join(format!("{name}.txt"));
-                    if let Err(e) = std::fs::write(&path, out) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        std::process::exit(1);
-                    }
+                if let Some(dir) = out_dir {
+                    write_artifact(dir, &format!("{name}.txt"), out);
                 }
             }
             Err(msg) => failed.push((name, msg)),
@@ -439,5 +253,145 @@ fn main() {
             results.len()
         );
         std::process::exit(1);
+    }
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let (mut jobs, mut shards, mut faults) = (None, None, None);
+    let (mut out_dir, mut gate_path): (Option<PathBuf>, Option<PathBuf>) = (None, None);
+    let (mut check, mut scorecard) = (false, false);
+    let mut profile_names: Vec<String> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
+    // The whole command line is parsed and validated before anything runs
+    // or is written. A flag given twice falls through to `names`, where the
+    // second copy fails validation like any other unknown experiment.
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--jobs" if jobs.is_none() => {
+                jobs = Some(flag_value(&mut args, "--jobs", "a worker count"));
+            }
+            "--shards" if shards.is_none() => {
+                shards = Some(flag_value(
+                    &mut args,
+                    "--shards",
+                    "a worker count (0 = single-queue engine)",
+                ));
+            }
+            "--faults" if faults.is_none() => {
+                faults = Some(flag_value(&mut args, "--faults", "a seed"));
+            }
+            "--out" if out_dir.is_none() => {
+                out_dir = Some(flag_value(&mut args, "--out", "a directory"));
+            }
+            "--scorecard-gate" if gate_path.is_none() => {
+                gate_path = Some(flag_value(
+                    &mut args,
+                    "--scorecard-gate",
+                    "a baseline file path",
+                ));
+            }
+            "--profile" => profile_names.push(flag_value(
+                &mut args,
+                "--profile",
+                "a profile name — try `repro list`",
+            )),
+            "--check" if !check => check = true,
+            "--scorecard" if !scorecard => scorecard = true,
+            _ => {
+                if let Some((_, pointer)) = REMOVED_FLAGS.iter().find(|(f, _)| *f == arg) {
+                    usage_error(&format!("{arg} {pointer}"));
+                }
+                names.push(arg);
+            }
+        }
+    }
+    let out_dir = out_dir.as_deref();
+    if let Some(dir) = out_dir.filter(|d| d.exists() && !d.is_dir()) {
+        usage_error(&format!(
+            "--out {} names an existing file; pass a directory (artifacts \
+             get fixed per-mode filenames under it)",
+            dir.display()
+        ));
+    }
+    let mut unknown = false;
+    let profiles: Vec<&ProfileEntry> = profile_names
+        .iter()
+        .filter_map(|name| {
+            let found = profiling::find(name);
+            if found.is_none() {
+                eprintln!("unknown profile {name:?} — try `repro list`");
+                unknown = true;
+            }
+            found
+        })
+        .collect();
+    let runs_a_mode = check || scorecard || !profiles.is_empty();
+    // Usage and the registry print for `list`, `--help`, or nothing to do.
+    let usage = match names.first().map(String::as_str) {
+        None => !runs_a_mode,
+        Some(first) => first == "list" || first == "--help",
+    };
+    let experiments: Vec<&Experiment> = match names.first().map(String::as_str) {
+        _ if usage => Vec::new(),
+        Some("all") => EXPERIMENTS.iter().collect(),
+        _ => names
+            .iter()
+            .filter_map(|name| {
+                let found = EXPERIMENTS.iter().find(|(n, _, _)| n == name);
+                if found.is_none() {
+                    eprintln!("unknown experiment {name:?} — try `repro list`");
+                    unknown = true;
+                }
+                found
+            })
+            .collect(),
+    };
+    if unknown {
+        std::process::exit(2);
+    }
+    if gate_path.is_some() && !scorecard {
+        usage_error("--scorecard-gate is only meaningful with --scorecard");
+    }
+    let gate = gate_path.map(|path| {
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            usage_error(&format!("cannot read baseline {}: {e}", path.display()))
+        });
+        Scorecard::from_json(&json).unwrap_or_else(|e| {
+            usage_error(&format!(
+                "baseline {} is not a scorecard: {e}",
+                path.display()
+            ))
+        })
+    });
+
+    if let Some(n) = jobs {
+        sync_micro::sweep::Sweep::set_default_jobs(n);
+    }
+    if let Some(n) = shards {
+        gpu_sim::set_default_shards(n);
+    }
+    if let Some(seed) = faults {
+        syncmark_bench::faults::set_seed(seed);
+    }
+    if let Some(dir) = out_dir.filter(|_| runs_a_mode || !experiments.is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
+    for profile in profiles {
+        run_profile(profile, out_dir);
+    }
+    if scorecard {
+        run_scorecard(out_dir, gate.as_ref());
+    }
+    if check {
+        run_check(out_dir);
+    }
+    if usage {
+        usage_and_list();
+    } else if !experiments.is_empty() {
+        run_experiments(experiments, out_dir);
     }
 }

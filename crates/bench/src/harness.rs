@@ -7,30 +7,16 @@
 
 use std::time::{Duration, Instant};
 
-/// Per-case configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Minimum number of timed samples.
-    pub min_samples: usize,
-    /// Stop sampling once this much wall-clock has been spent (after the
-    /// minimum number of samples).
-    pub budget: Duration,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            min_samples: 5,
-            budget: Duration::from_secs(2),
-        }
-    }
-}
+/// Minimum number of timed samples per case.
+const MIN_SAMPLES: usize = 5;
+/// Stop sampling a case once this much wall-clock has been spent (after
+/// [`MIN_SAMPLES`]).
+const BUDGET: Duration = Duration::from_secs(2);
 
 /// A group of benchmark cases sharing a name prefix and a CLI filter.
 pub struct Runner {
     group: String,
     filter: Option<String>,
-    config: Config,
 }
 
 impl Runner {
@@ -41,13 +27,7 @@ impl Runner {
         Runner {
             group: group.to_string(),
             filter,
-            config: Config::default(),
         }
-    }
-
-    pub fn with_config(mut self, config: Config) -> Runner {
-        self.config = config;
-        self
     }
 
     /// Time one case. The closure's output is consumed via `black_box` so
@@ -61,9 +41,7 @@ impl Runner {
         std::hint::black_box(f()); // warm-up, untimed
         let mut samples = Vec::new();
         let start = Instant::now();
-        while samples.len() < self.config.min_samples
-            || (start.elapsed() < self.config.budget && samples.len() < 100)
-        {
+        while samples.len() < MIN_SAMPLES || (start.elapsed() < BUDGET && samples.len() < 100) {
             let t = Instant::now();
             std::hint::black_box(f());
             samples.push(t.elapsed());

@@ -10,5 +10,4 @@ pub mod ablations;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
-pub mod perf;
 pub mod profiling;

@@ -8,30 +8,48 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// A bad command line runs no mode: each prefix below names a mode that
+/// would otherwise print and write before the experiment names are read.
 #[test]
 fn unknown_name_fails_fast_without_creating_out_dir() {
     let out = std::env::temp_dir().join("syncmark-repro-cli-unknown-out");
-    let _ = std::fs::remove_dir_all(&out);
-    let r = repro()
-        .args(["--out", out.to_str().unwrap(), "table2", "no-such-figure"])
-        .output()
-        .unwrap();
-    assert_eq!(r.status.code(), Some(2), "expected exit 2 on unknown name");
-    let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(
-        stderr.contains("no-such-figure"),
-        "stderr names the bad experiment: {stderr}"
-    );
-    // Nothing ran, nothing was written: validation precedes all side effects.
-    assert!(
-        !Path::new(&out).exists(),
-        "--out dir must not be created when validation fails"
-    );
-    let stdout = String::from_utf8_lossy(&r.stdout);
-    assert!(
-        stdout.is_empty(),
-        "no experiment output on failure: {stdout}"
-    );
+    let out_arg = out.to_str().unwrap();
+    let typo = ["table2", "no-such-figure"];
+    let lone_gate = ["--scorecard-gate", "SCORECARD.json"];
+    let cases: [(&[&str], _, &str); 5] = [
+        (&[], typo, "no-such-figure"),
+        (&["--check"], typo, "no-such-figure"),
+        (&["--scorecard"], typo, "no-such-figure"),
+        (&["--profile", "table1"], typo, "no-such-figure"),
+        // The gate pairing is checked up front too.
+        (&["--profile", "table1"], lone_gate, "--scorecard-gate"),
+    ];
+    for (prefix, rest, culprit) in cases {
+        let _ = std::fs::remove_dir_all(&out);
+        let r = repro()
+            .args(prefix)
+            .args(["--out", out_arg])
+            .args(rest)
+            .output()
+            .unwrap();
+        assert_eq!(r.status.code(), Some(2), "{prefix:?}: expected exit 2");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(
+            stderr.contains(culprit),
+            "{prefix:?}: stderr names {culprit}: {stderr}"
+        );
+        // Nothing ran, nothing was written: validation precedes all side
+        // effects.
+        assert!(
+            !Path::new(&out).exists(),
+            "{prefix:?}: --out dir must not be created when validation fails"
+        );
+        let stdout = String::from_utf8_lossy(&r.stdout);
+        assert!(
+            stdout.is_empty(),
+            "{prefix:?}: no output on failure: {stdout}"
+        );
+    }
 }
 
 #[test]
@@ -44,10 +62,30 @@ fn list_names_every_experiment() {
     }
 }
 
+/// `flag` with a non-numeric value, and with no value at all, exits 2 and
+/// names the flag.
+fn assert_bad_values_rejected(flag: &str) {
+    for args in [&[flag, "many", "table7"][..], &[flag]] {
+        let r = repro().args(args).output().unwrap();
+        assert_eq!(r.status.code(), Some(2), "{args:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bad_jobs_value_is_rejected() {
-    let r = repro().args(["--jobs", "many", "table7"]).output().unwrap();
-    assert_eq!(r.status.code(), Some(2));
+    assert_bad_values_rejected("--jobs");
+}
+
+#[test]
+fn bad_shards_value_is_rejected() {
+    assert_bad_values_rejected("--shards");
+}
+
+#[test]
+fn bad_faults_value_is_rejected() {
+    assert_bad_values_rejected("--faults");
 }
 
 #[test]
@@ -300,29 +338,19 @@ fn out_naming_an_existing_file_is_a_conflict() {
 
 #[test]
 fn removed_output_flags_are_rejected_with_a_pointer() {
-    for (flag, artifact) in [
-        ("--bench-out", "BENCH_10.json"),
-        ("--scorecard-out", "SCORECARD.json"),
+    for (flag, pointer) in [
+        ("--bench", "perfbench"),
+        ("--bench-out", "perfbench"),
+        ("--scorecard-out", "--out DIR writes DIR/SCORECARD.json"),
     ] {
         let r = repro().args([flag, "x.json"]).output().unwrap();
         assert_eq!(r.status.code(), Some(2), "{flag} must be rejected");
         let stderr = String::from_utf8_lossy(&r.stderr);
         assert!(
-            stderr.contains("--out") && stderr.contains(artifact),
-            "{flag} rejection must point at the --out convention: {stderr}"
+            stderr.contains(pointer),
+            "{flag} rejection must point at {pointer}: {stderr}"
         );
     }
-}
-
-#[test]
-fn bad_shards_value_is_rejected() {
-    let r = repro()
-        .args(["--shards", "many", "table7"])
-        .output()
-        .unwrap();
-    assert_eq!(r.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&r.stderr);
-    assert!(stderr.contains("--shards"), "{stderr}");
 }
 
 /// `--shards` must not change a single byte of any experiment artifact:

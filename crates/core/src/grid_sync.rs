@@ -1,7 +1,7 @@
 //! Figs. 5, 7, 8: grid / multi-grid synchronization latency heat maps over
 //! (blocks per SM × threads per block).
 
-use crate::measure::{cycles_to_us, sync_chain_cycles_in, sync_chain_with_in, Placement};
+use crate::measure::{cycles_to_us, sync_chain_run_in, Placement};
 use crate::report::{fmt, TextTable};
 use gpu_arch::GpuArch;
 use gpu_sim::kernels::SyncOp;
@@ -116,13 +116,14 @@ pub fn sync_heatmap(
     let values = crate::sweep::Sweep::new()
         .init(|| GpuSystem::new(arch.clone(), placement.topology.clone()))
         .try_run(plan.clone(), |sys, c| {
-            let m = sync_chain_cycles_in(
+            let (m, _) = sync_chain_run_in(
                 sys,
                 &placement.devices,
                 op,
                 REPS,
                 c.bpsm * arch.num_sms,
                 c.tpb,
+                &RunOptions::new(),
             )?;
             Ok(cycles_to_us(arch, m.cycles_per_op))
         })?;
@@ -143,7 +144,7 @@ pub fn sync_heatmap_profiled(
     let cells = crate::sweep::Sweep::new()
         .init(|| GpuSystem::new(arch.clone(), placement.topology.clone()))
         .try_run(plan.clone(), |sys, c| {
-            let (m, profile) = sync_chain_with_in(
+            let (m, arts) = sync_chain_run_in(
                 sys,
                 &placement.devices,
                 op,
@@ -154,7 +155,7 @@ pub fn sync_heatmap_profiled(
             )?;
             Ok((
                 cycles_to_us(arch, m.cycles_per_op),
-                profile.expect("profiling was armed"),
+                arts.profile.expect("profiling was armed"),
             ))
         })?;
     let mut profile = ProfileReport::empty(arch.clock().ps_per_cycle());

@@ -3,10 +3,8 @@
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{
-    ExecReport, GpuSystem, GridLaunch, LaunchKind, ProfileReport, RunArtifacts, RunOptions,
-};
-use sim_core::{Ps, SimResult};
+use gpu_sim::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
+use sim_core::SimResult;
 use std::sync::Arc;
 
 /// One dependent-chain measurement (Wong's method, §IX-C).
@@ -87,7 +85,7 @@ pub fn sync_chain_cycles(
     grid_dim: u32,
     block_dim: u32,
 ) -> SimResult<ChainMeasurement> {
-    let (m, _) = sync_chain_with(
+    let (m, _) = sync_chain_run(
         arch,
         placement,
         op,
@@ -100,50 +98,8 @@ pub fn sync_chain_cycles(
 }
 
 /// [`sync_chain_cycles`] with arbitrary run options: the measurement plus
-/// whatever optional artifacts (currently the syncprof profile) they armed.
-pub fn sync_chain_with(
-    arch: &GpuArch,
-    placement: &Placement,
-    op: SyncOp,
-    reps: usize,
-    grid_dim: u32,
-    block_dim: u32,
-    opts: &RunOptions,
-) -> SimResult<(ChainMeasurement, Option<ProfileReport>)> {
-    let mut sys = GpuSystem::new(arch.clone(), placement.topology.clone());
-    sync_chain_with_in(
-        &mut sys,
-        &placement.devices,
-        op,
-        reps,
-        grid_dim,
-        block_dim,
-        opts,
-    )
-}
-
-/// [`sync_chain_with`] against a caller-owned [`GpuSystem`].
-///
-/// The system is [`GpuSystem::reset`] before the launch, so a sweep worker
-/// can thread one system through every cell it claims (see
-/// [`crate::sweep::Sweep::init`]) and still measure exactly what a fresh
-/// system would: allocation ids, launch parameters, and therefore timing
-/// are identical to the unamortized path.
-pub fn sync_chain_with_in(
-    sys: &mut GpuSystem,
-    devices: &[usize],
-    op: SyncOp,
-    reps: usize,
-    grid_dim: u32,
-    block_dim: u32,
-    opts: &RunOptions,
-) -> SimResult<(ChainMeasurement, Option<ProfileReport>)> {
-    let (m, arts) = sync_chain_run_in(sys, devices, op, reps, grid_dim, block_dim, opts)?;
-    Ok((m, arts.profile))
-}
-
-/// [`sync_chain_with`] keeping the *full* [`RunArtifacts`] — for callers
-/// that need more than the profile, e.g. the recovery account a
+/// the launch's full [`RunArtifacts`] — the syncprof profile a
+/// [`RunOptions::profile`] run armed, or the recovery account a
 /// [`RunOptions::recovery`] policy attaches after retries or eviction.
 pub fn sync_chain_run(
     arch: &GpuArch,
@@ -166,7 +122,13 @@ pub fn sync_chain_run(
     )
 }
 
-/// [`sync_chain_run`] against a caller-owned (reset) [`GpuSystem`].
+/// [`sync_chain_run`] against a caller-owned [`GpuSystem`].
+///
+/// The system is [`GpuSystem::reset`] before the launch, so a sweep worker
+/// can thread one system through every cell it claims (see
+/// [`crate::sweep::Sweep::init`]) and still measure exactly what a fresh
+/// system would: allocation ids, launch parameters, and therefore timing
+/// are identical to the unamortized path.
 pub fn sync_chain_run_in(
     sys: &mut GpuSystem,
     devices: &[usize],
@@ -192,50 +154,6 @@ pub fn sync_chain_run_in(
         },
         arts,
     ))
-}
-
-/// [`sync_chain_cycles`] against a caller-owned (reset) [`GpuSystem`].
-pub fn sync_chain_cycles_in(
-    sys: &mut GpuSystem,
-    devices: &[usize],
-    op: SyncOp,
-    reps: usize,
-    grid_dim: u32,
-    block_dim: u32,
-) -> SimResult<ChainMeasurement> {
-    let (m, _) = sync_chain_with_in(
-        sys,
-        devices,
-        op,
-        reps,
-        grid_dim,
-        block_dim,
-        &RunOptions::new(),
-    )?;
-    Ok(m)
-}
-
-/// [`sync_chain_cycles`] with syncprof armed: the same measurement plus the
-/// per-scope stall attribution behind it. Profiling never perturbs timing,
-/// so the `ChainMeasurement` is identical to the unprofiled run's.
-pub fn sync_chain_profiled(
-    arch: &GpuArch,
-    placement: &Placement,
-    op: SyncOp,
-    reps: usize,
-    grid_dim: u32,
-    block_dim: u32,
-) -> SimResult<(ChainMeasurement, ProfileReport)> {
-    let (m, profile) = sync_chain_with(
-        arch,
-        placement,
-        op,
-        reps,
-        grid_dim,
-        block_dim,
-        &RunOptions::new().profile(),
-    )?;
-    Ok((m, profile.expect("profiling was armed")))
 }
 
 /// Run an unclocked chain and report per-SM throughput (syncs/cycle/SM).
@@ -287,11 +205,6 @@ pub fn cycles_to_us(arch: &GpuArch, cycles: f64) -> f64 {
     arch.clock().cycles_f64(cycles).as_us()
 }
 
-/// Convert a span into cycles of `arch`'s clock.
-pub fn span_cycles(arch: &GpuArch, t: Ps) -> f64 {
-    arch.clock().to_cycles(t)
-}
-
 /// A 1-SM variant of an architecture — per-SM metrics measured faster.
 pub fn one_sm(arch: &GpuArch) -> GpuArch {
     let mut a = arch.clone();
@@ -328,8 +241,16 @@ mod tests {
         let mut sys = GpuSystem::new(arch.clone(), p.topology.clone());
         for reps in [4usize, 8, 4] {
             let fresh = sync_chain_cycles(&arch, &p, SyncOp::Tile(32), reps, 1, 32).unwrap();
-            let reused =
-                sync_chain_cycles_in(&mut sys, &p.devices, SyncOp::Tile(32), reps, 1, 32).unwrap();
+            let (reused, _) = sync_chain_run_in(
+                &mut sys,
+                &p.devices,
+                SyncOp::Tile(32),
+                reps,
+                1,
+                32,
+                &RunOptions::new(),
+            )
+            .unwrap();
             assert_eq!(fresh.report, reused.report);
             assert_eq!(fresh.cycles_per_op, reused.cycles_per_op);
         }

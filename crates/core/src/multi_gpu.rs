@@ -2,7 +2,7 @@
 //! 1–8 GPUs of a DGX-1.
 
 use crate::launch_overhead::measure_launch_path_with;
-use crate::measure::{cycles_to_us, sync_chain_with, Placement};
+use crate::measure::{cycles_to_us, sync_chain_run, Placement};
 use crate::report::{fmt, TextTable};
 use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
@@ -86,7 +86,7 @@ fn mgrid_us(
     opts: &RunOptions,
 ) -> SimResult<(f64, Option<ProfileReport>)> {
     let placement = Placement::multi(topology.clone(), n);
-    let (m, profile) = sync_chain_with(
+    let (m, arts) = sync_chain_run(
         arch,
         &placement,
         SyncOp::MultiGrid,
@@ -95,7 +95,7 @@ fn mgrid_us(
         tpb,
         opts,
     )?;
-    Ok((cycles_to_us(arch, m.cycles_per_op), profile))
+    Ok((cycles_to_us(arch, m.cycles_per_op), arts.profile))
 }
 
 /// One of the five measurements behind a [`MultiGpuPoint`] — the sweep

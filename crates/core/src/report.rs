@@ -1,4 +1,4 @@
-//! Plain-text and CSV rendering of measurement tables.
+//! Plain-text rendering of measurement tables.
 
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 /// let mut t = TextTable::new("demo", &["type", "latency"]);
 /// t.row(vec!["tile".into(), "14".into()]);
 /// assert!(t.render().contains("== demo =="));
-/// assert!(t.to_csv().starts_with("type,latency"));
 /// ```
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct TextTable {
@@ -70,35 +69,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-ish: quotes only when needed).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Format a float with sensible significant digits for table cells.
@@ -140,15 +110,6 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = TextTable::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = TextTable::new("", &["a", "b"]);
-        t.row(vec!["1,2".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"1,2\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   re-measured with NVLink/PCIe latency multiplied and with transient
 //!   link flaps, at GPU counts inside and across the DGX-1 quad boundary.
 
-use crate::measure::{cycles_to_us, sync_chain_with, Placement};
+use crate::measure::{cycles_to_us, sync_chain_run, Placement};
 use crate::report::{fmt, TextTable};
 use crate::sweep;
 use gpu_arch::GpuArch;
@@ -91,7 +91,7 @@ pub fn jitter_sweep(seed: u64) -> SimResult<Vec<JitterPoint>> {
         };
         let plan = FaultPlan::seeded(seed).stragglers(STRAGGLER_PERMILLE, mult);
         let opts = RunOptions::new().faults(plan);
-        let (m, _) = sync_chain_with(&arch, &placement, op, REPS, grid_dim, tpb, &opts)?;
+        let (m, _) = sync_chain_run(&arch, &placement, op, REPS, grid_dim, tpb, &opts)?;
         Ok(JitterPoint {
             scope,
             mult_permille: mult,
@@ -120,7 +120,7 @@ pub fn link_sweep(seed: u64) -> SimResult<Vec<LinkPoint>> {
         }
         let opts = RunOptions::new().faults(plan);
         let placement = Placement::multi(topology.clone(), gpus);
-        let (m, _) = sync_chain_with(
+        let (m, _) = sync_chain_run(
             &arch,
             &placement,
             SyncOp::MultiGrid,
@@ -256,7 +256,7 @@ mod tests {
     fn jitter_cell(mult: u32) -> gpu_sim::ExecReport {
         let arch = small_arch();
         let plan = FaultPlan::seeded(11).stragglers(STRAGGLER_PERMILLE, mult);
-        let (m, _) = sync_chain_with(
+        let (m, _) = sync_chain_run(
             &arch,
             &Placement::single(),
             SyncOp::Block,

@@ -1,7 +1,6 @@
 //! Table III's raw measurements: shared-memory streaming bandwidth and
 //! latency for the thread configurations of the reduction case study.
 
-use crate::report::{fmt, TextTable};
 use gpu_arch::GpuArch;
 use gpu_sim::kernels;
 use gpu_sim::{GpuSystem, GridLaunch, RunOptions};
@@ -62,28 +61,6 @@ pub fn table3_measurements(arch: &GpuArch) -> SimResult<Vec<SmemBandwidthRow>> {
     rows[1].scenario = "1 warp / 32 threads".into();
     rows[2].scenario = "1024 threads".into();
     Ok(rows)
-}
-
-pub fn render_table3_measurements(data: &[(&GpuArch, &[SmemBandwidthRow])]) -> TextTable {
-    let mut headers = vec!["scenario".to_string()];
-    for (a, _) in data {
-        headers.push(format!("{} BW (B/cyc)", a.name));
-        headers.push(format!("{} latency (cyc)", a.name));
-    }
-    let mut t = TextTable {
-        title: "Table III (measured half): shared-memory streaming".into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for i in 0..data[0].1.len() {
-        let mut row = vec![data[0].1[i].scenario.clone()];
-        for (_, rows) in data {
-            row.push(fmt(rows[i].bandwidth_bytes_per_cycle));
-            row.push(fmt(rows[i].latency_cycles));
-        }
-        t.row(row);
-    }
-    t
 }
 
 #[cfg(test)]

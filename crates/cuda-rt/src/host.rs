@@ -143,10 +143,6 @@ impl HostSim {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
-    }
-
     /// The exact virtual time of a host thread.
     pub fn now(&self, thread: usize) -> Ps {
         self.threads[thread]
@@ -318,13 +314,6 @@ impl HostSim {
         };
         self.threads[thread] = self.threads[thread].max(s.busy_until) + completion + sync;
         self.streams[device].has_tail = false;
-    }
-
-    /// Synchronize `thread` with every device.
-    pub fn synchronize_all(&mut self, thread: usize) {
-        for d in 0..self.streams.len() {
-            self.device_synchronize(thread, d);
-        }
     }
 
     /// OpenMP-style barrier among the given host threads (all of them when

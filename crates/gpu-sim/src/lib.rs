@@ -31,7 +31,6 @@ pub mod recover;
 pub mod shard;
 pub mod stats;
 pub mod system;
-pub mod timeline;
 pub mod verify;
 
 pub use chrome_trace::export_chrome_trace;
@@ -49,5 +48,4 @@ pub use profile::{
 pub use recover::{AttemptRecord, ErrorClass, RecoveryPolicy, RecoveryReport};
 pub use shard::{default_shards, set_default_shards};
 pub use system::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
-pub use timeline::render_timeline;
 pub use verify::{check_kernel, check_launch, render_report, Diagnostic, HazardClass, Severity};

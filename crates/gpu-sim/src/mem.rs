@@ -7,12 +7,6 @@ use sim_core::{SimError, SimResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BufId(pub u32);
 
-impl BufId {
-    pub fn as_operand(self) -> crate::isa::Operand {
-        crate::isa::Operand::Imm(self.0 as u64)
-    }
-}
-
 /// Backing contents of a buffer.
 ///
 /// Dense buffers hold real 64-bit words (exact semantics, O(n) streaming).

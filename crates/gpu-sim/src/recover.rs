@@ -183,11 +183,6 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Attempt index that succeeded.
-    pub fn succeeded_on_attempt(&self) -> u32 {
-        self.attempts.last().map_or(0, |a| a.attempt)
-    }
-
     /// Whether any rank was evicted.
     pub fn degraded(&self) -> bool {
         !self.evicted_ranks.is_empty()

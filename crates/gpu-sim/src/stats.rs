@@ -1,15 +1,15 @@
-//! Process-wide execution accounting for the perf harness.
+//! Process-wide execution accounting.
 //!
-//! `repro --bench` reports instructions-per-second per experiment, but an
-//! experiment is an arbitrary tree of sweeps and launches — there is no
+//! An experiment is an arbitrary tree of sweeps and launches — there is no
 //! single `ExecReport` to read a total from. Instead every
 //! [`crate::GpuSystem::execute`] adds its report's `instrs_executed` to one
-//! process-wide counter, and the harness brackets each experiment with
-//! [`reset_instrs`] / [`instrs_executed`].
+//! process-wide counter, and a caller brackets a workload with
+//! [`reset_instrs`] / [`instrs_executed`]. perfbench reports the total as
+//! `engine.instrs`, and `crates/bench/tests/instr_counts.rs` pins it for
+//! five workloads at several `--jobs` and `--shards` settings.
 //!
 //! The counter is a relaxed atomic sum: addition commutes, so the total is
-//! identical whatever order parallel sweep workers finish in — it is one of
-//! the deterministic fields CI diffs across `--jobs` values.
+//! identical whatever order parallel sweep workers finish in.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -18,5 +18,5 @@ pub use error::{CellError, FaultFingerprint, SimError, SimResult, StuckKind, Stu
 pub use event::EventQueue;
 pub use resource::{interval_from_ops_per_cycle, Channel, Issue, Pipeline};
 pub use rng::SmallRng;
-pub use stats::{linear_slope, propagate_difference_quotient, OnlineStats, Summary};
+pub use stats::{propagate_difference_quotient, OnlineStats, Summary};
 pub use time::{Clock, Ps};

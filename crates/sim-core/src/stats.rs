@@ -106,20 +106,6 @@ pub fn propagate_difference_quotient(sigma_k1: f64, sigma_k2: f64, r1: u64, r2: 
     (sigma_k1 * sigma_k1 + sigma_k2 * sigma_k2).sqrt() / dr
 }
 
-/// Simple least-squares slope of y over x: used to extract throughput as the
-/// inverse gradient of latency-vs-count lines (paper §V-B).
-pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
-    assert!(points.len() >= 2, "need at least two points for a slope");
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    assert!(denom.abs() > f64::EPSILON, "x values are degenerate");
-    (n * sxy - sx * sy) / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,11 +156,5 @@ mod tests {
     #[should_panic]
     fn eq8_rejects_equal_repeats() {
         let _ = propagate_difference_quotient(1.0, 1.0, 5, 5);
-    }
-
-    #[test]
-    fn slope_of_line_recovered() {
-        let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 * i as f64 + 7.0)).collect();
-        assert!((linear_slope(&pts) - 3.0).abs() < 1e-9);
     }
 }
