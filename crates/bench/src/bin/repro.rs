@@ -5,10 +5,6 @@
 //! repro all                   # run everything (slow but complete)
 //! repro table2 fig5 ...       # run specific artifacts
 //! repro --jobs 8 all          # run the registry (and inner sweeps) on 8 workers
-//! repro --shards 2 fig8       # drive each multi-device launch on 2 shard
-//!                             # workers (one discrete-event shard per rank;
-//!                             # artifacts are byte-identical at any value;
-//!                             # single-device launches use the single queue)
 //! repro --out results all     # additionally write one .txt per artifact
 //! repro --check               # synchronization-hazard audit; exits nonzero
 //!                             # on any unsuppressed violation (the CI gate)
@@ -36,8 +32,8 @@
 //! Without `--out`, every mode prints to stdout only. Modes compose in one
 //! invocation because the filenames cannot collide; `--out` naming an
 //! existing non-directory is a conflict and exits 2. Removed flags
-//! (`--bench`, `--bench-out`, `--scorecard-out`) exit 2 with a pointer to
-//! their replacement.
+//! (`--bench`, `--bench-out`, `--scorecard-out`, `--shards`) exit 2 with a
+//! pointer to their replacement.
 //!
 //! The whole command line is validated up front: a bad flag value, an
 //! unknown profile or experiment name, or a `--scorecard-gate` without
@@ -63,13 +59,10 @@ use syncmark_bench::profiling::{self, ProfileEntry};
 
 fn usage_and_list() {
     println!(
-        "usage: repro [--jobs N] [--shards N] [--out DIR] [--check] [--scorecard] \
+        "usage: repro [--jobs N] [--out DIR] [--check] [--scorecard] \
          [--scorecard-gate PATH] [--faults SEED] \
          [--profile NAME]... [all | list | <experiment>...]\n"
     );
-    println!("--shards N runs each multi-device launch on N rank workers; 0 (the default)");
-    println!("keeps the single queue, which single-device launches always use. Sharding");
-    println!("pays at --jobs 1, not when the sweep pool already fills the cores.\n");
     println!("artifacts land under the one --out DIR with fixed names:");
     println!("  experiments     DIR/<name>.txt");
     println!("  --profile NAME  DIR/<name>.profile.json, DIR/<name>.trace.json");
@@ -90,7 +83,7 @@ fn usage_and_list() {
 const SCORECARD_FILE: &str = "SCORECARD.json";
 
 /// Flags that no longer exist, each with a pointer to its replacement.
-const REMOVED_FLAGS: [(&str, &str); 3] = [
+const REMOVED_FLAGS: [(&str, &str); 4] = [
     (
         "--bench",
         "was removed: perfbench is the benchmark of record (see perfbench/README.md)",
@@ -104,6 +97,12 @@ const REMOVED_FLAGS: [(&str, &str); 3] = [
         "--scorecard-out",
         "was replaced by the unified --out convention: \
          --scorecard --out DIR writes DIR/SCORECARD.json",
+    ),
+    (
+        "--shards",
+        "was removed: every launch runs on one event queue; use --jobs to \
+         run experiments and their sweep cells in parallel (docs/METHODOLOGY.md \
+         §15-16 records why sharding was deleted)",
     ),
 ];
 
@@ -258,7 +257,7 @@ fn run_experiments(selected: Vec<&Experiment>, out_dir: Option<&Path>) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let (mut jobs, mut shards, mut faults) = (None, None, None);
+    let (mut jobs, mut faults) = (None, None);
     let (mut out_dir, mut gate_path): (Option<PathBuf>, Option<PathBuf>) = (None, None);
     let (mut check, mut scorecard) = (false, false);
     let mut profile_names: Vec<String> = Vec::new();
@@ -270,13 +269,6 @@ fn main() {
         match arg.as_str() {
             "--jobs" if jobs.is_none() => {
                 jobs = Some(flag_value(&mut args, "--jobs", "a worker count"));
-            }
-            "--shards" if shards.is_none() => {
-                shards = Some(flag_value(
-                    &mut args,
-                    "--shards",
-                    "a worker count (0 = single-queue engine)",
-                ));
             }
             "--faults" if faults.is_none() => {
                 faults = Some(flag_value(&mut args, "--faults", "a seed"));
@@ -367,9 +359,6 @@ fn main() {
 
     if let Some(n) = jobs {
         sync_micro::sweep::Sweep::set_default_jobs(n);
-    }
-    if let Some(n) = shards {
-        gpu_sim::set_default_shards(n);
     }
     if let Some(seed) = faults {
         syncmark_bench::faults::set_seed(seed);

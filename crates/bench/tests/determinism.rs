@@ -1,7 +1,8 @@
 //! The sweep engine must be invisible in the output: any artifact rendered
 //! at `--jobs 1` must be byte-identical at `--jobs 8`. Collection is
 //! slot-indexed, so completion order cannot leak into the tables; this test
-//! pins that guarantee on a single- and a multi-GPU figure.
+//! pins that guarantee on a single- and a multi-GPU figure and on three
+//! syncprof bundles, one of them multi-GPU.
 //!
 //! Everything lives in one `#[test]` because the sweep default-jobs knob is process
 //! global and libtest runs test functions concurrently.
@@ -15,11 +16,15 @@ fn small(mut a: GpuArch) -> GpuArch {
     a
 }
 
-/// One full `--profile grid_sync` run: (ProfileReport JSON, Chrome trace).
-fn profile_artifacts() -> (String, String) {
-    let (_, _, f) = profiling::find("grid_sync").unwrap();
+/// Profile bundles compared across worker counts: `figure9` is the
+/// multi-GPU one, `fused_pipeline` the wait/signal pipeline.
+const PROFILES: [&str; 3] = ["grid_sync", "figure9", "fused_pipeline"];
+
+/// One full `--profile NAME` run: (summary, ProfileReport JSON, Chrome trace).
+fn profile_artifacts(name: &str) -> (String, String, String) {
+    let (_, _, f) = profiling::find(name).unwrap();
     let run = f().unwrap();
-    (run.report.to_json(), run.trace_json)
+    (run.summary, run.report.to_json(), run.trace_json)
 }
 
 fn render_fig5(arch: &GpuArch) -> String {
@@ -43,30 +48,39 @@ fn rendered_tables_are_byte_identical_across_worker_counts() {
     sync_micro::sweep::Sweep::set_default_jobs(1);
     let fig5_serial = render_fig5(&v100);
     let fig7_serial = render_fig7(&p100);
-    let (profile_serial, trace_serial) = profile_artifacts();
+    let profiles_serial: Vec<_> = PROFILES.iter().map(|n| profile_artifacts(n)).collect();
 
     sync_micro::sweep::Sweep::set_default_jobs(8);
     let fig5_parallel = render_fig5(&v100);
     let fig7_parallel = render_fig7(&p100);
-    let (profile_parallel, trace_parallel) = profile_artifacts();
+    let profiles_parallel: Vec<_> = PROFILES.iter().map(|n| profile_artifacts(n)).collect();
 
     sync_micro::sweep::Sweep::set_default_jobs(0);
 
     assert_eq!(fig5_serial, fig5_parallel, "figure5 differs across jobs");
     assert_eq!(fig7_serial, fig7_parallel, "figure7 differs across jobs");
     // syncprof artifacts are part of the same guarantee: sweep-cell profiles
-    // merge in plan order, so report and trace bytes cannot depend on --jobs.
-    assert_eq!(
-        profile_serial, profile_parallel,
-        "ProfileReport JSON differs across jobs"
-    );
-    assert_eq!(
-        trace_serial, trace_parallel,
-        "Chrome trace differs across jobs"
-    );
+    // merge in plan order, so summary, report and trace bytes cannot depend
+    // on --jobs.
+    for ((name, serial), parallel) in PROFILES
+        .iter()
+        .zip(&profiles_serial)
+        .zip(&profiles_parallel)
+    {
+        assert_eq!(serial.0, parallel.0, "{name} summary differs across jobs");
+        assert_eq!(
+            serial.1, parallel.1,
+            "{name} ProfileReport JSON differs across jobs"
+        );
+        assert_eq!(
+            serial.2, parallel.2,
+            "{name} Chrome trace differs across jobs"
+        );
+    }
     // Sanity: the tables actually contain data, not just headers.
     assert!(fig5_serial.lines().count() > 5);
     assert!(fig7_serial.lines().count() > 10);
-    assert!(profile_serial.contains("grid_wait_ps"), "{profile_serial}");
-    assert!(trace_serial.contains("sync.grid"));
+    let (_, grid_report, grid_trace) = &profiles_serial[0];
+    assert!(grid_report.contains("grid_wait_ps"), "{grid_report}");
+    assert!(grid_trace.contains("sync.grid"));
 }

@@ -1,7 +1,6 @@
-//! Neither the sweep pool nor by-rank sharding may change the simulated
-//! work: five fixed workloads must execute exactly the same number of
-//! instructions at every (`--jobs`, `--shards`) setting, and exactly the
-//! counts pinned below.
+//! The sweep pool must not change the simulated work: five fixed workloads
+//! must execute exactly the same number of instructions at `--jobs` 1 and 8,
+//! and exactly the counts pinned below.
 //!
 //! The workloads span the engine's regimes: full-chip grid-sync sweeps
 //! (Fig. 5), multi-GPU barriers (Fig. 9), host-side launch modelling
@@ -9,8 +8,8 @@
 //! memory-system reduction models.
 //!
 //! Everything lives in one `#[test]`: `gpu_sim::stats` counts every launch
-//! in the process, and the jobs and shards defaults are process-global, so
-//! a second test running concurrently would corrupt both.
+//! in the process, and the jobs default is process-global, so a second test
+//! running concurrently would corrupt both.
 
 use gpu_arch::GpuArch;
 use gpu_sim::kernels::SyncOp;
@@ -52,20 +51,18 @@ const WORKLOADS: [Workload; 5] = [
 ];
 
 #[test]
-fn instruction_counts_are_pinned_at_every_jobs_and_shards_setting() {
-    for (jobs, shards) in [(1, 0), (8, 0), (1, 1), (1, 4)] {
+fn instruction_counts_are_pinned_at_every_jobs_setting() {
+    for jobs in [1, 8] {
         Sweep::set_default_jobs(jobs);
-        gpu_sim::set_default_shards(shards);
         for (name, run, expected) in WORKLOADS {
             gpu_sim::stats::reset_instrs();
             assert!(!run().is_empty(), "{name} produced no output");
             assert_eq!(
                 gpu_sim::stats::instrs_executed(),
                 expected,
-                "{name} at --jobs {jobs} --shards {shards}"
+                "{name} at --jobs {jobs}"
             );
         }
     }
     Sweep::set_default_jobs(0);
-    gpu_sim::set_default_shards(0);
 }

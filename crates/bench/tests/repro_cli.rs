@@ -79,11 +79,6 @@ fn bad_jobs_value_is_rejected() {
 }
 
 #[test]
-fn bad_shards_value_is_rejected() {
-    assert_bad_values_rejected("--shards");
-}
-
-#[test]
 fn bad_faults_value_is_rejected() {
     assert_bad_values_rejected("--faults");
 }
@@ -342,6 +337,7 @@ fn removed_output_flags_are_rejected_with_a_pointer() {
         ("--bench", "perfbench"),
         ("--bench-out", "perfbench"),
         ("--scorecard-out", "--out DIR writes DIR/SCORECARD.json"),
+        ("--shards", "--jobs"),
     ] {
         let r = repro().args([flag, "x.json"]).output().unwrap();
         assert_eq!(r.status.code(), Some(2), "{flag} must be rejected");
@@ -351,30 +347,4 @@ fn removed_output_flags_are_rejected_with_a_pointer() {
             "{flag} rejection must point at {pointer}: {stderr}"
         );
     }
-}
-
-/// `--shards` must not change a single byte of any experiment artifact:
-/// the sharded engine's determinism contract, observed end-to-end through
-/// the CLI on the multi-device figure-9 experiment.
-#[test]
-fn shards_flag_leaves_experiment_output_byte_identical() {
-    let d0 = std::env::temp_dir().join("syncmark-repro-cli-shards-0");
-    let d4 = std::env::temp_dir().join("syncmark-repro-cli-shards-4");
-    let mut outs = Vec::new();
-    for (shards, dir) in [("0", &d0), ("4", &d4)] {
-        let _ = std::fs::remove_dir_all(dir);
-        let r = repro()
-            .args(["--shards", shards, "--out", dir.to_str().unwrap(), "fig9"])
-            .output()
-            .unwrap();
-        assert!(r.status.success(), "fig9 failed at --shards {shards}");
-        outs.push((
-            String::from_utf8_lossy(&r.stdout).into_owned(),
-            std::fs::read(dir.join("fig9.txt")).unwrap(),
-        ));
-    }
-    assert_eq!(outs[0].0, outs[1].0, "stdout must not depend on --shards");
-    assert_eq!(outs[0].1, outs[1].1, "fig9.txt must not depend on --shards");
-    let _ = std::fs::remove_dir_all(&d0);
-    let _ = std::fs::remove_dir_all(&d4);
 }

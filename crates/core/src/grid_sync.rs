@@ -111,23 +111,7 @@ pub fn sync_heatmap(
     op: SyncOp,
     title: &str,
 ) -> SimResult<HeatMap> {
-    assert!(matches!(op, SyncOp::Grid | SyncOp::MultiGrid));
-    let plan = plan_cells(arch);
-    let values = crate::sweep::Sweep::new()
-        .init(|| GpuSystem::new(arch.clone(), placement.topology.clone()))
-        .try_run(plan.clone(), |sys, c| {
-            let (m, _) = sync_chain_run_in(
-                sys,
-                &placement.devices,
-                op,
-                REPS,
-                c.bpsm * arch.num_sms,
-                c.tpb,
-                &RunOptions::new(),
-            )?;
-            Ok(cycles_to_us(arch, m.cycles_per_op))
-        })?;
-    Ok(assemble_heatmap(title, &plan, values))
+    Ok(heatmap_with(arch, placement, op, title, &RunOptions::new())?.0)
 }
 
 /// [`sync_heatmap`] with syncprof armed on every cell. The per-cell
@@ -139,6 +123,41 @@ pub fn sync_heatmap_profiled(
     op: SyncOp,
     title: &str,
 ) -> SimResult<(HeatMap, ProfileReport)> {
+    let (map, profile) = heatmap_with(arch, placement, op, title, &RunOptions::new().profile())?;
+    Ok((map, profile.expect("profiling was armed")))
+}
+
+/// Fig. 5: single-GPU grid synchronization latency.
+pub fn figure5(arch: &GpuArch) -> SimResult<HeatMap> {
+    Ok(figure5_with(arch, &RunOptions::new())?.0)
+}
+
+/// [`figure5`] with syncprof armed: the heat map plus the merged per-scope
+/// stall attribution across every feasible cell.
+pub fn figure5_profiled(arch: &GpuArch) -> SimResult<(HeatMap, ProfileReport)> {
+    let (map, profile) = figure5_with(arch, &RunOptions::new().profile())?;
+    Ok((map, profile.expect("profiling was armed")))
+}
+
+fn figure5_with(arch: &GpuArch, opts: &RunOptions) -> SimResult<(HeatMap, Option<ProfileReport>)> {
+    heatmap_with(
+        arch,
+        &Placement::single(),
+        SyncOp::Grid,
+        &format!("Fig. 5: grid sync latency (us), {}", arch.name),
+        opts,
+    )
+}
+
+/// Run every feasible cell under `opts`; when profiling, merge the cell
+/// profiles in plan order into one report.
+fn heatmap_with(
+    arch: &GpuArch,
+    placement: &Placement,
+    op: SyncOp,
+    title: &str,
+    opts: &RunOptions,
+) -> SimResult<(HeatMap, Option<ProfileReport>)> {
     assert!(matches!(op, SyncOp::Grid | SyncOp::MultiGrid));
     let plan = plan_cells(arch);
     let cells = crate::sweep::Sweep::new()
@@ -151,41 +170,21 @@ pub fn sync_heatmap_profiled(
                 REPS,
                 c.bpsm * arch.num_sms,
                 c.tpb,
-                &RunOptions::new().profile(),
+                opts,
             )?;
-            Ok((
-                cycles_to_us(arch, m.cycles_per_op),
-                arts.profile.expect("profiling was armed"),
-            ))
+            Ok((cycles_to_us(arch, m.cycles_per_op), arts.profile))
         })?;
-    let mut profile = ProfileReport::empty(arch.clock().ps_per_cycle());
+    let mut profile = opts
+        .wants_profile()
+        .then(|| ProfileReport::empty(arch.clock().ps_per_cycle()));
     let mut values = Vec::with_capacity(cells.len());
     for (v, p) in cells {
         values.push(v);
-        profile.merge(&p);
+        if let (Some(acc), Some(p)) = (&mut profile, p) {
+            acc.merge(&p);
+        }
     }
     Ok((assemble_heatmap(title, &plan, values), profile))
-}
-
-/// Fig. 5: single-GPU grid synchronization latency.
-pub fn figure5(arch: &GpuArch) -> SimResult<HeatMap> {
-    sync_heatmap(
-        arch,
-        &Placement::single(),
-        SyncOp::Grid,
-        &format!("Fig. 5: grid sync latency (us), {}", arch.name),
-    )
-}
-
-/// [`figure5`] with syncprof armed: the heat map plus the merged per-scope
-/// stall attribution across every feasible cell.
-pub fn figure5_profiled(arch: &GpuArch) -> SimResult<(HeatMap, ProfileReport)> {
-    sync_heatmap_profiled(
-        arch,
-        &Placement::single(),
-        SyncOp::Grid,
-        &format!("Fig. 5: grid sync latency (us), {}", arch.name),
-    )
 }
 
 #[cfg(test)]

@@ -369,44 +369,6 @@ pub(crate) struct Engine<'a> {
     /// Last simulated time any warp advanced its `max_pc` watermark (or
     /// retired lanes). Only maintained while the watchdog is armed.
     last_progress_at: Ps,
-    /// `Some` when this engine is one rank-shard of a sharded run (see
-    /// [`crate::shard`]): it simulates only its rank's blocks, rejects
-    /// cross-device data access, and parks multi-grid arrivals for the
-    /// coordinator instead of resolving them locally.
-    shard: Option<ShardState>,
-    /// Exclusive upper bound on how far the run-ahead fast path may advance
-    /// simulated time. `Ps::MAX` (the single-queue engine) disables the
-    /// bound; a shard's coordinator resets it to each round's horizon.
-    window_limit: Ps,
-}
-
-/// Per-shard state of one rank of a sharded run.
-struct ShardState {
-    /// The one launch rank this engine owns.
-    rank: u32,
-    /// That rank's device id; any other device's memory is off-limits.
-    device_id: usize,
-    /// The rank's pending multi-grid arrival: local completion time, parked
-    /// until the coordinator has seen every rank arrive and injects the
-    /// release (quiescent rendezvous — see [`crate::shard`]).
-    mgrid_arrival: Option<Ps>,
-}
-
-/// Everything one shard contributes to the merged run artifacts, extracted
-/// by [`Engine::finish_shard`] after the coordinator declared the run
-/// complete. Field order of the merged artifacts is rank-major, which is
-/// exactly the order the single-queue engine produces.
-pub(crate) struct ShardParts {
-    /// Time the owned rank's grid drained.
-    pub(crate) end_time: Ps,
-    pub(crate) warps_run: u64,
-    pub(crate) instrs_executed: u64,
-    pub(crate) trace: Vec<TraceEvent>,
-    pub(crate) hazards: HazardReport,
-    /// The owned rank's per-SM profile rows (empty unless profiling).
-    pub(crate) sm_rows: Vec<SmProfile>,
-    pub(crate) epochs: Vec<BarrierEpoch>,
-    pub(crate) epochs_dropped: u64,
 }
 
 /// Armed fault-injection state derived from a non-zero [`FaultPlan`].
@@ -599,25 +561,7 @@ impl<'a> Engine<'a> {
             fault: None,
             watchdog: None,
             last_progress_at: Ps::ZERO,
-            shard: None,
-            window_limit: Ps::MAX,
         }
-    }
-
-    /// Restrict this engine to simulating launch rank `rank` as one shard
-    /// of a rank-sharded run: `setup` schedules only that rank's blocks,
-    /// cross-device buffer access fails with a structured error, a
-    /// multi-grid arrival parks in the shard's outbox for the coordinator,
-    /// and watchdog / deadlock detection move to the coordinator's round
-    /// boundaries (the in-shard instruction-limit backstop stays — a
-    /// per-shard count over the limit implies the global sum is too).
-    pub(crate) fn sharded(mut self, rank: usize) -> Self {
-        self.shard = Some(ShardState {
-            rank: rank as u32,
-            device_id: self.launch.devices[rank],
-            mgrid_arrival: None,
-        });
-        self
     }
 
     /// Enable tracing of up to `cap` executed instructions.
@@ -715,7 +659,7 @@ impl<'a> Engine<'a> {
         self.finish()
     }
 
-    pub(crate) fn instr_limit_error(&self) -> SimError {
+    fn instr_limit_error(&self) -> SimError {
         let limit = self.sys.instr_limit;
         SimError::ProgramError(format!(
             "kernel {:?} exceeded {limit} instructions — non-terminating?",
@@ -723,99 +667,9 @@ impl<'a> Engine<'a> {
         ))
     }
 
-    // ----- shard protocol (see `crate::shard`) ---------------------------------
-
-    /// Build the engine's static state (blocks, devices, initial wave).
-    /// `run_full` calls this itself; a shard's coordinator calls it once per
-    /// shard before the first round.
-    pub(crate) fn setup_shard(&mut self) {
-        debug_assert!(self.shard.is_some());
-        self.setup();
-    }
-
-    /// One conservative time-window round: drain every local event strictly
-    /// before `horizon`. Cross-shard effects (multi-grid releases) are
-    /// injected by the coordinator between rounds and always land at or
-    /// beyond the horizon, so a round never misses a causally earlier event.
-    pub(crate) fn run_window(&mut self, horizon: Ps) -> SimResult<()> {
-        self.window_limit = horizon;
-        while let Some((t, ev)) = self.q.pop_before(horizon) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            match ev {
-                Ev::WarpStep(w, gen) => {
-                    if self.warps[w as usize].gen == gen && !self.warps[w as usize].done {
-                        self.run_warp(w)?;
-                    }
-                }
-                Ev::StartBlock(b) => self.start_block(b),
-            }
-            if self.instrs_executed > self.sys.instr_limit {
-                return Err(self.instr_limit_error());
-            }
-        }
-        Ok(())
-    }
-
-    /// Time of this shard's earliest pending event (the coordinator's `m`).
-    pub(crate) fn next_event_time(&self) -> Option<Ps> {
-        self.q.peek_time()
-    }
-
-    /// Simulated time of the last event this shard processed.
-    pub(crate) fn now_ps(&self) -> Ps {
-        self.now
-    }
-
-    pub(crate) fn last_progress_ps(&self) -> Ps {
-        self.last_progress_at
-    }
-
-    pub(crate) fn instrs(&self) -> u64 {
-        self.instrs_executed
-    }
-
-    /// Take the owned rank's pending multi-grid arrival, if any.
-    pub(crate) fn take_mgrid_arrival(&mut self) -> Option<Ps> {
-        self.shard.as_mut().and_then(|s| s.mgrid_arrival.take())
-    }
-
-    /// Coordinator-injected multi-grid release for this shard's rank. The
-    /// release time comes from [`Engine::mgrid_release_times`], so sharded
-    /// timings are bit-identical to the single-queue engine's.
-    pub(crate) fn inject_mgrid_release(&mut self, release: Ps) {
-        let rank = self.shard.as_ref().expect("sharded engine").rank as usize;
-        self.release_grid(rank, release, true);
-    }
-
-    /// The safe lookahead per round: the minimum flag latency between any
-    /// two distinct participating devices (under the degraded topology when
-    /// links are faulted). Any cross-shard effect costs at least one such
-    /// hop *each way* past the triggering arrival, so a horizon of
-    /// `m + lookahead` can never cut a causally earlier event off — see
-    /// METHODOLOGY §15 for the bound's derivation.
-    pub(crate) fn shard_lookahead(&self) -> Ps {
-        let topo = self.topo();
-        let mut min = Ps::MAX;
-        for &a in &self.launch.devices {
-            for &b in &self.launch.devices {
-                if a != b {
-                    min = min.min(topo.flag_latency(a, b));
-                }
-            }
-        }
-        if min == Ps::MAX || min == Ps::ZERO {
-            Ps(1)
-        } else {
-            min
-        }
-    }
-
     /// Multi-grid release times from every rank's local arrival time — the
     /// master-device flag exchange of the paper's multi-grid barrier (§VI).
-    /// Shared by the single-queue path and the shard coordinator so both
-    /// produce identical simulated timings.
-    pub(crate) fn mgrid_release_times(&self, arrivals: &[Ps]) -> Vec<Ps> {
+    fn mgrid_release_times(&self, arrivals: &[Ps]) -> Vec<Ps> {
         let topo = match &self.fault {
             Some(f) => f
                 .degraded
@@ -853,14 +707,10 @@ impl<'a> Engine<'a> {
     fn run_warp(&mut self, w: u32) -> SimResult<()> {
         let mut next = self.step_warp(w)?;
         while let Some(at) = next {
-            // In a sharded round the window horizon bounds the fast path
-            // too: a step at or beyond it must round-trip through the queue
-            // so the coordinator can exchange cross-shard effects first.
-            let ahead = at < self.window_limit
-                && match self.q.peek_time() {
-                    None => true,
-                    Some(t) => at < t,
-                };
+            let ahead = match self.q.peek_time() {
+                None => true,
+                Some(t) => at < t,
+            };
             if !ahead {
                 self.schedule_warp(w, at);
                 return Ok(());
@@ -888,14 +738,8 @@ impl<'a> Engine<'a> {
     #[inline]
     fn watchdog_expired(&self) -> bool {
         match self.watchdog {
-            // One shard can't tell a livelock from waiting on another
-            // shard's progress: under sharding the budget is checked by the
-            // coordinator at round boundaries against *global* progress.
-            // The budget stays armed so progress tracking keeps running.
-            Some(budget) if self.shard.is_none() => {
-                self.now.saturating_sub(self.last_progress_at) > budget
-            }
-            _ => false,
+            Some(budget) => self.now.saturating_sub(self.last_progress_at) > budget,
+            None => false,
         }
     }
 
@@ -911,16 +755,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Fingerprint of the armed fault plan (`None` when unfaulted), stamped
-    /// into the Deadlock/Watchdog errors this engine — or the shard
-    /// coordinator merging several engines — constructs.
-    pub(crate) fn fault_fingerprint(&self) -> Option<sim_core::FaultFingerprint> {
+    /// into the Deadlock/Watchdog errors this engine constructs.
+    fn fault_fingerprint(&self) -> Option<sim_core::FaultFingerprint> {
         self.fault.as_ref().map(|f| f.plan.fingerprint())
     }
 
     /// Every unfinished warp with its PC and wait kind, sorted by
-    /// (rank, sm, block, warp) — the shard coordinator merges these across
-    /// shards for its boundary watchdog check.
-    pub(crate) fn stuck_warps(&self) -> Vec<StuckWarp> {
+    /// (rank, sm, block, warp).
+    fn stuck_warps(&self) -> Vec<StuckWarp> {
         let mut stuck: Vec<StuckWarp> = self
             .warps
             .iter()
@@ -1187,8 +1029,7 @@ impl<'a> Engine<'a> {
         // avoids doubling-growth copies of the warp records and their side
         // tables.
         let warps_per_block = self.arch.warps_per_block(self.launch.block_dim) as usize;
-        let ranks_run = if self.shard.is_some() { 1 } else { nranks };
-        let blocks_run = self.launch.grid_dim as usize * ranks_run;
+        let blocks_run = self.launch.grid_dim as usize * nranks;
         self.warps.reserve(blocks_run * warps_per_block);
         if self.watchdog.is_some() {
             self.watermarks.reserve(blocks_run * warps_per_block);
@@ -1196,16 +1037,8 @@ impl<'a> Engine<'a> {
         if self.prof.is_some() {
             self.parked_at.reserve(blocks_run * warps_per_block);
         }
-        // Initial wave: fill residency round-robin; queue the rest. A shard
-        // creates every rank's block records (engine-global block indices
-        // stay `rank * grid_dim + b` everywhere) but schedules only its own
-        // rank's wave — other ranks' blocks never start here.
+        // Initial wave: fill residency round-robin; queue the rest.
         for rank in 0..nranks {
-            if let Some(s) = &self.shard {
-                if s.rank as usize != rank {
-                    continue;
-                }
-            }
             let base = rank as u32 * self.launch.grid_dim;
             for b in 0..self.launch.grid_dim {
                 let gb = base + b;
@@ -2106,9 +1939,7 @@ impl<'a> Engine<'a> {
                 // A buffer operand that is the same for the whole warp is
                 // looked up and checked once; the lane loop only indexes it.
                 let uniform = match rb {
-                    AluSrc::Const(b) => {
-                        Some(checked_buffer(&self.sys.bufs, &self.shard, b as usize)?)
-                    }
+                    AluSrc::Const(b) => Some(checked_buffer(&self.sys.bufs, b as usize)?),
                     _ => None,
                 };
                 // Collect loads first, then write the register column, so the
@@ -2119,7 +1950,7 @@ impl<'a> Engine<'a> {
                         Some(buffer) => buffer,
                         None => {
                             let b = self.src_val(lane, rb) as usize;
-                            checked_buffer(&self.sys.bufs, &self.shard, b)?
+                            checked_buffer(&self.sys.bufs, b)?
                         }
                     };
                     remote |= buffer.device != local_dev;
@@ -2167,15 +1998,14 @@ impl<'a> Engine<'a> {
                     // A buffer operand that is the same for the whole warp is
                     // looked up and checked once.
                     AluSrc::Const(b) => {
-                        let buffer =
-                            checked_buffer_mut(&mut self.sys.bufs, &self.shard, b as usize)?;
+                        let buffer = checked_buffer_mut(&mut self.sys.bufs, b as usize)?;
                         for &(_, i, v) in &stores[..n] {
                             buffer.store(i, v)?;
                         }
                     }
                     _ => {
                         for &(b, i, v) in &stores[..n] {
-                            checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?.store(i, v)?;
+                            checked_buffer_mut(&mut self.sys.bufs, b)?.store(i, v)?;
                         }
                     }
                 }
@@ -2208,7 +2038,7 @@ impl<'a> Engine<'a> {
                     let v = f64::from_bits(self.eval(w, lane, val));
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     let old = f64::from_bits(buffer.load(i)?);
                     buffer.store(i, (old + v).to_bits())?;
                     if let Some(d) = dst_old {
@@ -2238,7 +2068,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     let old = buffer.load(i)?;
                     let exchanged = old == c;
                     if exchanged {
@@ -2280,7 +2110,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, v)?;
                     if let Some(d) = dst_old {
@@ -2308,7 +2138,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     let old = buffer.load(i)?;
                     buffer.store(i, old.wrapping_add(v))?;
                     if let Some(d) = dst_old {
@@ -2335,7 +2165,7 @@ impl<'a> Engine<'a> {
                     let t = self.eval(w, lane, target);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     if buffer.load(i)? < t {
                         satisfied = false;
                     }
@@ -2375,7 +2205,7 @@ impl<'a> Engine<'a> {
                     let v = self.eval(w, lane, val);
                     let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
                     done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, &self.shard, b)?;
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
                     buffer.store(i, v)?;
                 }
                 self.grace_sync();
@@ -2560,7 +2390,7 @@ impl<'a> Engine<'a> {
             let k = self.src_val(lane, rk).max(1);
             let n = self.src_val(lane, rn);
             for &buf in &[d, ab, bb] {
-                let buffer = checked_buffer(&self.sys.bufs, &self.shard, buf)?;
+                let buffer = checked_buffer(&self.sys.bufs, buf)?;
                 if n > buffer.len() {
                     return Err(SimError::MemoryFault(format!(
                         "combine cap {n} beyond buffer of {} words",
@@ -2967,16 +2797,6 @@ impl<'a> Engine<'a> {
     /// One device finished its local multi-grid arrival; when all ranks have,
     /// run the inter-GPU flag exchange and release every rank.
     fn rank_arrives_at_mgrid(&mut self, rank: usize, local_done: Ps) {
-        if let Some(s) = &mut self.shard {
-            // Quiescent rendezvous: this shard's rank has fully arrived, so
-            // its arrival time is final. Park it for the coordinator, which
-            // resolves the exchange once every rank has arrived and injects
-            // the releases at a round boundary.
-            debug_assert_eq!(rank, s.rank as usize);
-            debug_assert!(s.mgrid_arrival.is_none(), "double multi-grid arrival");
-            s.mgrid_arrival = Some(local_done);
-            return;
-        }
         self.mgrid.rank_done[rank] = Some(local_done);
         self.mgrid.ranks_arrived += 1;
         if self.mgrid.ranks_arrived as usize != self.launch.devices.len() {
@@ -3032,7 +2852,7 @@ impl<'a> Engine<'a> {
             let s = self.src_val(lane, rs);
             let k = self.src_val(lane, rk).max(1);
             let n = self.src_val(lane, rn);
-            let buffer = checked_buffer(&self.sys.bufs, &self.shard, b)?;
+            let buffer = checked_buffer(&self.sys.bufs, b)?;
             if buffer.device != self.devs[warp_rank].device_id {
                 remote_dev = Some(buffer.device);
             }
@@ -3126,19 +2946,12 @@ impl<'a> Engine<'a> {
 
     /// Why each of this engine's unfinished blocks is stuck, keyed by
     /// (rank, sm, block) for deterministic ordering; never-started blocks
-    /// have no SM and sort last per rank. Empty when the run completed. A
-    /// shard reports only its own rank's blocks; the coordinator merges
-    /// shards and re-sorts, reproducing the single-queue order.
-    pub(crate) fn blocked_descriptors(&self) -> Vec<(u32, u32, u32, String)> {
+    /// have no SM and sort last per rank. Empty when the run completed.
+    fn blocked_descriptors(&self) -> Vec<(u32, u32, u32, String)> {
         let mut blocked: Vec<(u32, u32, u32, String)> = Vec::new();
         for b in self.blocks.iter() {
             if b.done {
                 continue;
-            }
-            if let Some(s) = &self.shard {
-                if b.rank != s.rank {
-                    continue;
-                }
             }
             if !b.started {
                 blocked.push((
@@ -3252,54 +3065,6 @@ impl<'a> Engine<'a> {
             hazards,
             profile,
         ))
-    }
-
-    /// Extract this shard's contribution to the merged run artifacts.
-    /// Called only after the coordinator verified global completion — a
-    /// shard on its own cannot distinguish "waiting on another rank" from
-    /// "stuck", so the deadlock check lives at the coordinator.
-    pub(crate) fn finish_shard(mut self) -> ShardParts {
-        let rank = self.shard.as_ref().expect("sharded engine").rank;
-        // Own blocks in engine order = ascending block-on-device: merging
-        // shards rank-major reproduces the single-queue hazard order.
-        let mut hazards = HazardReport::default();
-        for b in &mut self.blocks {
-            if b.rank != rank {
-                continue;
-            }
-            let (hz, dropped) = b.smem.take_hazards();
-            hazards.dropped += dropped;
-            for hazard in hz {
-                hazards.records.push(HazardRecord {
-                    rank: b.rank,
-                    block: b.block_on_device,
-                    hazard,
-                });
-            }
-        }
-        if let Some(g) = &mut self.grace {
-            let (hz, dropped) = g.take_hazards();
-            hazards.global = hz;
-            hazards.global_dropped = dropped;
-        }
-        let (sm_rows, epochs, epochs_dropped) = match self.prof.take() {
-            Some(mut p) => (
-                std::mem::take(&mut p.sms[rank as usize]),
-                p.epochs,
-                p.epochs_dropped,
-            ),
-            None => (Vec::new(), Vec::new(), 0),
-        };
-        ShardParts {
-            end_time: self.devs[rank as usize].end_time,
-            warps_run: self.warps_run,
-            instrs_executed: self.instrs_executed,
-            trace: self.trace.map(|(_, ev)| ev).unwrap_or_default(),
-            hazards,
-            sm_rows,
-            epochs,
-            epochs_dropped,
-        }
     }
 }
 
@@ -3447,40 +3212,19 @@ fn scalar_src(src: AluSrc, d: Reg) -> u64 {
 }
 
 /// Buffer `b` named by a kernel's global-memory operand; a bad id faults.
-/// A shard also rejects a cross-device access: it owns only its rank's
-/// buffers (other slots are placeholders), so another device's memory cannot
-/// be simulated locally. The multi-grid barrier — the one cross-device
-/// channel with a known minimum latency — is coordinated explicitly instead.
-/// A free function over the `bufs` and `shard` fields so it can run while
-/// other engine fields are borrowed.
+/// A free function over the `bufs` field so it can run while other engine
+/// fields are borrowed.
 #[inline]
-fn checked_buffer<'b>(
-    bufs: &'b [Buffer],
-    shard: &Option<ShardState>,
-    b: usize,
-) -> SimResult<&'b Buffer> {
-    let buffer = bufs
-        .get(b)
-        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))?;
-    match shard {
-        Some(s) if buffer.device != s.device_id => Err(SimError::InvalidLaunch(format!(
-            "sharded execution: rank {} (device {}) accessed memory on device {}; \
-             cross-device data access needs the single-queue engine (shards = 0)",
-            s.rank, s.device_id, buffer.device
-        ))),
-        _ => Ok(buffer),
-    }
+fn checked_buffer(bufs: &[Buffer], b: usize) -> SimResult<&Buffer> {
+    bufs.get(b)
+        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))
 }
 
 /// [`checked_buffer`], for writing.
 #[inline]
-fn checked_buffer_mut<'b>(
-    bufs: &'b mut [Buffer],
-    shard: &Option<ShardState>,
-    b: usize,
-) -> SimResult<&'b mut Buffer> {
-    checked_buffer(bufs, shard, b)?;
-    Ok(&mut bufs[b])
+fn checked_buffer_mut(bufs: &mut [Buffer], b: usize) -> SimResult<&mut Buffer> {
+    bufs.get_mut(b)
+        .ok_or_else(|| SimError::MemoryFault(format!("bad buffer id {b}")))
 }
 
 /// Iterate the set lanes of a mask, ascending (bit-clearing walk — cost is

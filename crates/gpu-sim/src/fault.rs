@@ -258,7 +258,7 @@ pub(crate) const TAG_SM_THROTTLE: u64 = 2;
 pub(crate) const TAG_BARRIER_DELAY: u64 = 3;
 /// Retry-backoff jitter draws of [`crate::recover`], keyed on the attempt
 /// counter — never on execution order — so retry schedules are
-/// byte-identical at any `--jobs`/`--shards` value.
+/// byte-identical at any `--jobs` value.
 pub(crate) const TAG_RETRY_BACKOFF: u64 = 4;
 
 #[cfg(test)]

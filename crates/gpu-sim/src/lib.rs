@@ -28,7 +28,6 @@ pub mod kernels;
 pub mod mem;
 pub mod profile;
 pub mod recover;
-pub mod shard;
 pub mod stats;
 pub mod system;
 pub mod verify;
@@ -46,6 +45,5 @@ pub use profile::{
     BarrierEpoch, KernelProfile, ProfileReport, SmProfile, StallBreakdown, SyncScope,
 };
 pub use recover::{AttemptRecord, ErrorClass, RecoveryPolicy, RecoveryReport};
-pub use shard::{default_shards, set_default_shards};
 pub use system::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
 pub use verify::{check_kernel, check_launch, render_report, Diagnostic, HazardClass, Severity};

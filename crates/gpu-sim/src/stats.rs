@@ -6,7 +6,7 @@
 //! process-wide counter, and a caller brackets a workload with
 //! [`reset_instrs`] / [`instrs_executed`]. perfbench reports the total as
 //! `engine.instrs`, and `crates/bench/tests/instr_counts.rs` pins it for
-//! five workloads at several `--jobs` and `--shards` settings.
+//! five workloads at `--jobs` 1 and 8.
 //!
 //! The counter is a relaxed atomic sum: addition commutes, so the total is
 //! identical whatever order parallel sweep workers finish in.

@@ -137,9 +137,6 @@ pub struct RunOptions {
     profile: bool,
     faults: Option<crate::fault::FaultPlan>,
     watchdog: Option<Ps>,
-    /// Rank workers for a multi-device launch: `None` follows the
-    /// process-wide `--shards` default, `Some(0)` forces the single queue.
-    shards: Option<usize>,
     recovery: Option<crate::recover::RecoveryPolicy>,
 }
 
@@ -152,7 +149,6 @@ impl RunOptions {
             profile: false,
             faults: None,
             watchdog: None,
-            shards: None,
             recovery: None,
         }
     }
@@ -199,16 +195,6 @@ impl RunOptions {
         self
     }
 
-    /// Run a multi-device launch on `n` worker threads, one discrete-event
-    /// shard per device rank (see [`crate::shard`]). `n = 0` forces the
-    /// single-queue engine; `n = 1` runs the sharded protocol on one thread —
-    /// useful to test its determinism. Single-device launches always run on
-    /// the single queue.
-    pub const fn shards(mut self, n: usize) -> RunOptions {
-        self.shards = Some(n);
-        self
-    }
-
     /// Arm the fault recovery layer (see [`crate::recover`]): on a
     /// retryable [`SimError`] the launch is rolled back to a pre-attempt
     /// buffer checkpoint and relaunched under the policy's backoff and
@@ -218,10 +204,6 @@ impl RunOptions {
     pub const fn recovery(mut self, policy: crate::recover::RecoveryPolicy) -> RunOptions {
         self.recovery = Some(policy);
         self
-    }
-
-    pub const fn sharding(&self) -> Option<usize> {
-        self.shards
     }
 
     pub const fn wants_check(&self) -> bool {
@@ -248,8 +230,8 @@ impl RunOptions {
         self.recovery.as_ref()
     }
 
-    /// The options one recovery attempt runs under: same instruments and
-    /// sharding, the attempt's (possibly disarmed or rank-compacted) fault
+    /// The options one recovery attempt runs under: same instruments, the
+    /// attempt's (possibly disarmed or rank-compacted) fault
     /// plan, and no recovery policy — the inner `execute` must not recurse
     /// into the recovery layer.
     pub(crate) fn for_recovery_attempt(
@@ -477,21 +459,6 @@ impl GpuSystem {
         Ok(())
     }
 
-    /// Does any rank's param list name a buffer on a different device?
-    /// Conservative (a scalar equal to a remote buffer's id counts), used
-    /// only to keep the `--shards` default off launches that need the
-    /// single-queue engine's cross-device data path.
-    fn params_cross_devices(&self, launch: &GridLaunch) -> bool {
-        launch.devices.iter().zip(&launch.params).any(|(&dev, ps)| {
-            ps.iter().any(|&p| {
-                usize::try_from(p)
-                    .ok()
-                    .and_then(|i| self.bufs.get(i))
-                    .is_some_and(|b| b.device != dev)
-            })
-        })
-    }
-
     /// Validate and execute a grid launch to completion — the single
     /// execution entry point. Host-side launch overheads are *not* included
     /// — they belong to the `cuda-rt` stream model.
@@ -509,20 +476,15 @@ impl GpuSystem {
         }
         let check = opts.wants_check() || launch.checked;
         self.validate_with(launch, check)?;
-        let (report, trace, hazards, profile) = match self.shard_workers(launch, opts) {
-            0 => {
-                let mut engine = Engine::new(self, launch)
-                    .with_check(check)
-                    .with_profile(opts.wants_profile())
-                    .with_faults(opts.fault_plan())
-                    .with_watchdog(opts.watchdog_budget());
-                if let Some(cap) = opts.trace_cap() {
-                    engine = engine.with_trace(cap);
-                }
-                engine.run_full()?
-            }
-            workers => crate::shard::execute_sharded(self, launch, opts, check, workers)?,
-        };
+        let mut engine = Engine::new(self, launch)
+            .with_check(check)
+            .with_profile(opts.wants_profile())
+            .with_faults(opts.fault_plan())
+            .with_watchdog(opts.watchdog_budget());
+        if let Some(cap) = opts.trace_cap() {
+            engine = engine.with_trace(cap);
+        }
+        let (report, trace, hazards, profile) = engine.run_full()?;
         crate::stats::count_instrs(report.instrs_executed);
         Ok(RunArtifacts {
             report,
@@ -531,28 +493,6 @@ impl GpuSystem {
             profile,
             recovery: None,
         })
-    }
-
-    /// How many rank workers run `launch` (see [`crate::shard`]); `0` means
-    /// the single queue, which every single-device launch uses.
-    pub(crate) fn shard_workers(&self, launch: &GridLaunch, opts: &RunOptions) -> usize {
-        if launch.devices.len() < 2 {
-            return 0;
-        }
-        match opts.sharding() {
-            Some(workers) => workers,
-            // The process-wide default must widen no semantics: a launch
-            // whose params hand a rank another device's buffer (peer-access
-            // reductions, P2P allreduce) needs the single-queue engine's
-            // cross-device data path, so the default quietly keeps it there.
-            // A scalar param colliding with a remote buffer id only costs
-            // the speedup, never correctness; computed cross-device accesses
-            // that slip past the scan still hit the in-engine guard.
-            None => match crate::shard::default_shards() {
-                workers if workers > 0 && !self.params_cross_devices(launch) => workers,
-                _ => 0,
-            },
-        }
     }
 
     fn validate_with(&self, launch: &GridLaunch, check: bool) -> SimResult<()> {
@@ -591,7 +531,8 @@ impl GpuSystem {
         if launch.grid_dim == 0 {
             return Err(SimError::InvalidLaunch("grid_dim is zero".into()));
         }
-        if launch.kernel.shared_words * 8 > self.arch.shared_mem_per_sm_bytes {
+        // In u64: 2^29 or more words is past the u32 byte range.
+        if launch.kernel.shared_words as u64 * 8 > self.arch.shared_mem_per_sm_bytes as u64 {
             return Err(SimError::InvalidLaunch(format!(
                 "{} words of shared memory exceed the SM's capacity",
                 launch.kernel.shared_words
@@ -1061,58 +1002,5 @@ mod tests {
         assert!(sys.copy_words(b, 3, a, 0, 2).is_err());
         assert!(sys.copy_words(b, 0, a, 1, 2).is_err());
         assert_eq!(sys.read_u64(b), vec![0; 4]);
-    }
-
-    /// Pins the selection rule: only multi-device launches shard, `Some(n)`
-    /// names their worker count, and `None` follows the process default
-    /// (`0` here: nothing in this test binary sets it). The default's
-    /// cross-device param scan is covered in `tests/shard_determinism.rs`.
-    #[test]
-    fn sharding_selection_follows_launch_shape() {
-        let mut sys = GpuSystem::new(GpuArch::v100(), gpu_node::NodeTopology::dgx1_v100());
-        let buf = sys.alloc(0, 8 * 64);
-        let single = GridLaunch::single(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::Grid, 2),
-            8,
-            64,
-            vec![buf.0 as u64],
-        )
-        .cooperative();
-        let multi = GridLaunch::multi(
-            crate::kernels::sync_chain(crate::kernels::SyncOp::MultiGrid, 2),
-            8,
-            64,
-            vec![0, 1],
-            vec![vec![], vec![]],
-        );
-        // Hands rank 1 a buffer on device 0.
-        let crossing = GridLaunch {
-            params: vec![vec![buf.0 as u64], vec![buf.0 as u64]],
-            ..multi.clone()
-        };
-        for (launch, shards, workers) in [
-            (&single, Some(4), 0),
-            (&single, Some(0), 0),
-            (&single, None, 0),
-            (&multi, Some(4), 4),
-            (&multi, Some(1), 1),
-            (&multi, Some(0), 0),
-            (&multi, None, 0),
-            // An explicit count is honoured, and the engine then rejects
-            // the cross-device access.
-            (&crossing, Some(2), 2),
-        ] {
-            let mut opts = RunOptions::new();
-            if let Some(n) = shards {
-                opts = opts.shards(n);
-            }
-            assert_eq!(opts.sharding(), shards);
-            assert_eq!(
-                sys.shard_workers(launch, &opts),
-                workers,
-                "{} devices at {shards:?}",
-                launch.devices.len()
-            );
-        }
     }
 }

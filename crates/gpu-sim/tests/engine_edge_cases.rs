@@ -443,6 +443,22 @@ fn shared_memory_overflow_faults() {
         .is_err());
 }
 
+/// 2^29 words of shared memory is 2^32 bytes, one past the `u32` range. The
+/// launch must fail validation instead of overflowing the byte count, which
+/// panics in a debug build and, in release, wraps to 0 and lets the engine
+/// try to allocate 16 GiB.
+#[test]
+fn shared_memory_past_the_u32_byte_range_is_rejected_at_launch() {
+    let mut sys = GpuSystem::single(GpuArch::v100());
+    let mut b = KernelBuilder::new("smem-4gib");
+    b.exit();
+    let e = sys.run_plain(&GridLaunch::single(b.build(1 << 29), 1, 32, vec![]));
+    assert!(
+        matches!(&e, Err(SimError::InvalidLaunch(m)) if m.contains("shared memory")),
+        "{e:?}"
+    );
+}
+
 /// A stride taken from the kernel near `u64::MAX` visits one element, like
 /// any stride that steps past the end: the loops must not wrap back over
 /// lower indices (release) or panic on the add (debug). Each case runs with

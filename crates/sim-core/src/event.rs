@@ -154,20 +154,6 @@ impl<E> EventQueue<E> {
         Some((self.last, ev))
     }
 
-    /// Remove and return the earliest event if it is scheduled strictly
-    /// before `horizon` (FIFO among equal times).
-    ///
-    /// This is the primitive a time-window-sharded simulation runs on: each
-    /// shard drains its local queue only up to the round's safe horizon and
-    /// leaves later events for the next round, after cross-shard messages
-    /// (which can only land at or beyond the horizon) have been exchanged.
-    pub fn pop_before(&mut self, horizon: Ps) -> Option<(Ps, E)> {
-        match self.peek_time() {
-            Some(at) if at < horizon => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Time of the earliest pending event, in O(1).
     #[inline]
     pub fn peek_time(&self) -> Option<Ps> {
@@ -304,20 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_the_horizon_exclusively() {
-        let mut q = EventQueue::new();
-        q.push(Ps(10), "a");
-        q.push(Ps(20), "b");
-        q.push(Ps(20), "c");
-        assert_eq!(q.pop_before(Ps(10)), None, "horizon is exclusive");
-        assert_eq!(q.pop_before(Ps(11)), Some((Ps(10), "a")));
-        assert_eq!(q.pop_before(Ps(20)), None);
-        assert_eq!(q.pop_before(Ps(21)), Some((Ps(20), "b")), "FIFO at ties");
-        assert_eq!(q.pop_before(Ps(21)), Some((Ps(20), "c")));
-        assert_eq!(q.pop_before(Ps::MAX), None, "empty drains to None");
-    }
-
-    #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -394,9 +366,9 @@ mod tests {
         // Engine-shaped rounds on the same model: trains of wakes 2^20–2^27
         // ps past the time of the last pop, equal-time bursts at it, pushes
         // before it, and `clear()` with reuse halfway, with `peek_time`,
-        // `peek` and `len` checked after every operation and half the pops
-        // made through `pop_before`. The bases put the times in low and
-        // middle bits, across 2^63 and near the top of the range.
+        // `peek` and `len` checked after every operation. The bases put the
+        // times in low and middle bits, across 2^63 and near the top of the
+        // range.
         let stable_min = |model: &[(Ps, u64)]| {
             let min_t = model.iter().map(|e| e.0).min()?;
             model.iter().position(|e| e.0 == min_t)
@@ -433,17 +405,8 @@ mod tests {
                     }
                 } else {
                     let head = stable_min(&model).map(|p| (p, model[p]));
-                    let (got, want) = if rng() % 2 == 0 {
-                        (q.pop(), head)
-                    } else {
-                        // One below, at or one past the earliest time: the
-                        // horizon is exclusive, so only the last pops.
-                        let t = head.map_or(now, |(_, e)| e.0).0;
-                        let horizon = Ps(t.saturating_sub(1) + rng() % 3);
-                        (q.pop_before(horizon), head.filter(|h| h.1 .0 < horizon))
-                    };
-                    assert_eq!(got, want.map(|(_, e)| e), "round {round} op {op}");
-                    if let Some((p, e)) = want {
+                    assert_eq!(q.pop(), head.map(|(_, e)| e), "round {round} op {op}");
+                    if let Some((p, e)) = head {
                         model.remove(p);
                         now = e.0;
                     }
