@@ -21,6 +21,7 @@ use gpu_node::NodeTopology;
 use serde::{Deserialize, Serialize};
 use sim_core::{Channel, EventQueue, Pipeline, Ps, SimError, SimResult, StuckKind, StuckWarp};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 const WARP: u32 = 32;
@@ -1688,6 +1689,40 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The lanes and first word of a global access that touches one run of
+    /// consecutive words: `group` is one contiguous run of lanes, and `idx`
+    /// reads `lo, lo + 1, …` over it without wrapping (in `u32` for a
+    /// lane-affine special, as `eval` computes it). An armed racecheck
+    /// observes each lane, so it keeps every access on the per-lane loop.
+    #[inline]
+    fn coalesced(&self, group: u32, idx: AluSrc) -> Option<(Range<usize>, u64)> {
+        if self.grace.is_some() || group == 0 {
+            return None;
+        }
+        let first = group.trailing_zeros();
+        let run = group >> first;
+        if run & run.wrapping_add(1) != 0 {
+            return None;
+        }
+        let lanes = first as usize..(first + run.count_ones()) as usize;
+        let lo = match idx {
+            AluSrc::Lin(base) => {
+                let lo = base as u64 + first as u64;
+                let last = lo + lanes.len() as u64 - 1;
+                (last <= u32::MAX as u64).then_some(lo)?
+            }
+            AluSrc::Col(c) => {
+                let col = &self.reg_col(c)[lanes.clone()];
+                let consecutive = (0..)
+                    .zip(col)
+                    .all(|(k, &i)| col[0].checked_add(k) == Some(i));
+                consecutive.then_some(col[0])?
+            }
+            AluSrc::Const(_) => return None,
+        };
+        Some((lanes, lo))
+    }
+
     /// Unary ALU op: `d = f(a)` for every lane in `group`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -1945,16 +1980,29 @@ impl<'a> Engine<'a> {
                 // Collect loads first, then write the register column, so the
                 // warp borrow doesn't alternate with the buffer borrow.
                 let mut vals = [0u64; WARP as usize];
-                for lane in iter_lanes(group) {
-                    let buffer = match uniform {
-                        Some(buffer) => buffer,
-                        None => {
-                            let b = self.src_val(lane, rb) as usize;
-                            checked_buffer(&self.sys.bufs, b)?
-                        }
-                    };
-                    remote |= buffer.device != local_dev;
-                    vals[(lane & 31) as usize] = buffer.load(self.src_val(lane, ri))?;
+                // A warp-uniform buffer read over one run of consecutive
+                // words inside it is one slice copy. Anything else, a fault
+                // included, runs the per-lane loop.
+                let run = uniform
+                    .zip(self.coalesced(group, ri))
+                    .filter(|(buffer, (lanes, lo))| {
+                        buffer.range_end(*lo, lanes.len() as u64).is_ok()
+                    });
+                if let Some((buffer, (lanes, lo))) = run {
+                    remote = buffer.device != local_dev;
+                    buffer.read_into(lo as usize, &mut vals[lanes]);
+                } else {
+                    for lane in iter_lanes(group) {
+                        let buffer = match uniform {
+                            Some(buffer) => buffer,
+                            None => {
+                                let b = self.src_val(lane, rb) as usize;
+                                checked_buffer(&self.sys.bufs, b)?
+                            }
+                        };
+                        remote |= buffer.device != local_dev;
+                        vals[(lane & 31) as usize] = buffer.load(self.src_val(lane, ri))?;
+                    }
                 }
                 // Take the checker out of `self` for the loop: grace_agent
                 // needs a fresh immutable borrow per lane.
@@ -1982,6 +2030,22 @@ impl<'a> Engine<'a> {
                     self.alu_src(w, idx),
                     self.alu_src(w, val),
                 );
+                // A warp-uniform buffer written over one run of consecutive
+                // words inside it is one slice copy, which densifies a small
+                // synthetic buffer, or fails on a large one, exactly as the
+                // first per-lane store would. Anything else, a fault
+                // included, runs the per-lane loop.
+                if let (AluSrc::Const(b), Some((lanes, lo))) = (rb, self.coalesced(group, ri)) {
+                    let mut vals = [0u64; WARP as usize];
+                    self.fill_src(rv, &mut vals);
+                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b as usize)?;
+                    if let Ok(end) = buffer.range_end(lo, lanes.len() as u64) {
+                        let words = lo as usize..end as usize;
+                        buffer.words_mut()?[words].copy_from_slice(&vals[lanes]);
+                        self.advance_pcs(w, group, pc);
+                        return Ok(Step::Ready(start + self.lat.c4));
+                    }
+                }
                 // Evaluate operands (immutable borrows) before the mutable
                 // buffer stores.
                 let mut stores = [(0usize, 0u64, 0u64); WARP as usize];

@@ -21,7 +21,12 @@
 //! value per warp with per-lane ones: a uniform counted loop around a
 //! per-lane accumulator, a uniform load added to `Tid`, a uniform value that
 //! a shuffle reads, a 48-thread multi-grid chain with a tail warp, and
-//! `GpuRank * WarpId` arithmetic on two GPUs.
+//! `GpuRank * WarpId` arithmetic on two GPUs. The last four pin global
+//! accesses by consecutive indices and a near miss: a store by `GlobalTid`
+//! into a buffer five words short of the grid, a load through a register
+//! column holding `GlobalTid + 7`, the same load through the reversed
+//! column `31 − LaneId`, and a warp split at lane 16 whose halves store by
+//! `LaneId` from different PCs.
 //!
 //! Any engine refactor — event queue, warp state layout, scheduling fast
 //! paths — must leave every line byte-identical: these numbers are the
@@ -35,7 +40,7 @@ use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, ShflKind, ShflMode, Special};
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{BufId, GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
+use gpu_sim::{BufId, Buffer, GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
 use sim_core::Ps;
 use std::sync::Arc;
 
@@ -75,6 +80,10 @@ v100-uniform-load-plus-tid: duration=345275 instrs=20 warps=4 mem=f98521e619741b
 v100-shfl-reads-uniform: duration=38932 instrs=36 warps=4 mem=52f0b13c27a45825 trace=62ba039d6e63b276 profile=669b18c6d2d9c95b
 v100-dgx1-mgrid-x2-tail-48: duration=24803680 instrs=160 warps=16 mem=f7f1737f2614b285 trace=5729f1971e524cf0 profile=669b18c6d2d9c95b
 v100-dgx1-x2-rank-warp: duration=19056 instrs=126 warps=18 mem=6d3988e3ff475c25 trace=ecbe88b1d69739a3 profile=669b18c6d2d9c95b
+v100-store-gtid-5-short: error=MemoryFault 76b462e6c9da02ea
+v100-load-col-gtid-plus-7: duration=342226 instrs=16 warps=4 mem=7f6b078fe31fa482 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-load-col-reversed: duration=342226 instrs=16 warps=4 mem=e70d5cfe1dd47a02 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
+v100-split-halves-store: duration=46495 instrs=14 warps=2 mem=cdc05adad64aca25 trace=1fff11c385dc0b95 profile=669b18c6d2d9c95b
 ";
 
 /// FNV-1a over a byte string: a stable digest for long artifacts.
@@ -445,6 +454,66 @@ fn rank_warp_arith() -> Kernel {
     b.build(0)
 }
 
+/// Every thread stores `GlobalTid + 1` at `GlobalTid`.
+fn store_gtid() -> Kernel {
+    let mut b = KernelBuilder::new("store-gtid");
+    let x = b.reg();
+    b.iadd(x, Sp(Special::GlobalTid), Imm(1));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(x),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// Each thread loads buffer 0 at the index that `index` writes into a
+/// register column, and stores the word to buffer 1 at `GlobalTid`.
+fn load_through_column(index: fn(gpu_sim::isa::Reg) -> Instr) -> Kernel {
+    let mut b = KernelBuilder::new("load-through-column");
+    let i = b.reg();
+    let x = b.reg();
+    b.push(index(i));
+    b.push(Instr::LdGlobal {
+        dst: x,
+        buf: Param(0),
+        idx: Reg(i),
+    });
+    b.push(Instr::StGlobal {
+        buf: Param(1),
+        idx: Sp(Special::GlobalTid),
+        val: Reg(x),
+    });
+    b.exit();
+    b.build(0)
+}
+
+/// Lanes below 16 store `Tid + 100` at `LaneId`; the rest branch away and
+/// store `Tid` at `LaneId` from another PC.
+fn split_halves_store() -> Kernel {
+    let mut b = KernelBuilder::new("split-halves-store");
+    let c = b.reg();
+    let x = b.reg();
+    b.cmp_lt(c, Sp(Special::LaneId), Imm(16));
+    b.bra_ifz(Reg(c), "high");
+    b.iadd(x, Sp(Special::Tid), Imm(100));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::LaneId),
+        val: Reg(x),
+    });
+    b.exit();
+    b.label("high");
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::LaneId),
+        val: Sp(Special::Tid),
+    });
+    b.exit();
+    b.build(0)
+}
+
 /// f64 words whose sums round differently in a different order.
 fn f64_words(id: u32, i: u64) -> u64 {
     ((id + 1) as f64 * 0.3 + i as f64 * 0.1).to_bits()
@@ -794,7 +863,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "v100-dgx1-x2-rank-warp",
-            arch: sms(v100, 2),
+            arch: sms(v100.clone(), 2),
             topology: NodeTopology::dgx1_v100(),
             devices: vec![0, 1],
             kind: LaunchKind::CooperativeMultiDevice,
@@ -805,6 +874,48 @@ fn cases() -> Vec<Case> {
             init: None,
             opts: traced(),
         },
+        single(
+            "v100-store-gtid-5-short",
+            sms(v100.clone(), 1),
+            store_gtid(),
+            2,
+            64,
+            vec![2 * 64 - 5],
+            new(),
+        ),
+        Case {
+            init: Some(int_words),
+            ..single(
+                "v100-load-col-gtid-plus-7",
+                sms(v100.clone(), 1),
+                load_through_column(|i| Instr::IAdd(i, Sp(Special::GlobalTid), Imm(7))),
+                2,
+                64,
+                vec![2 * 64 + 7, 2 * 64],
+                new(),
+            )
+        },
+        Case {
+            init: Some(int_words),
+            ..single(
+                "v100-load-col-reversed",
+                sms(v100.clone(), 1),
+                load_through_column(|i| Instr::ISub(i, Imm(31), Sp(Special::LaneId))),
+                2,
+                64,
+                vec![2 * 64 + 7, 2 * 64],
+                new(),
+            )
+        },
+        single(
+            "v100-split-halves-store",
+            sms(v100, 1),
+            split_halves_store(),
+            1,
+            64,
+            vec![32],
+            traced(),
+        ),
     ]
 }
 
@@ -888,18 +999,173 @@ fn golden_exec_reports_are_stable() {
     );
 }
 
-/// The snapshots must not depend on instrumentation: a profiled + traced +
-/// checked run reports the same `ExecReport` as the bare golden run.
+/// What one launch leaves behind: its `ExecReport` or the text of its
+/// error, and every buffer, with the stores a failed launch made before it
+/// failed.
+type Outcome = (Result<(Ps, u64, u64), String>, Vec<Buffer>);
+
+/// Run `launch` on `sys` under `opts`, and take `bufs` afterwards.
+fn outcome(mut sys: GpuSystem, launch: &GridLaunch, bufs: &[BufId], opts: &RunOptions) -> Outcome {
+    let report = match sys.execute(launch, opts) {
+        Ok(arts) => Ok((
+            arts.report.duration,
+            arts.report.instrs_executed,
+            arts.report.warps_run,
+        )),
+        Err(e) => Err(format!("{e:?}")),
+    };
+    let bufs = bufs.iter().map(|&b| sys.buffer(b).clone()).collect();
+    (report, bufs)
+}
+
+/// The snapshots must not depend on instrumentation: a checked, traced and
+/// profiled run of every case reports the same `ExecReport`, leaves the same
+/// word in every buffer and fails with the same error text as the bare run.
+/// The armed global racecheck keeps every `LdGlobal` and `StGlobal` on the
+/// per-lane loop, so this also holds the coalesced path to that loop.
 #[test]
 fn golden_reports_insensitive_to_instrumentation() {
-    let c = &cases()[1];
-    let report = |opts: &RunOptions| {
-        let (mut sys, launch, _) = prepare(c);
-        let r = sys.execute(&launch, opts).unwrap().report;
-        (r.duration, r.instrs_executed, r.warps_run)
+    for c in &cases() {
+        let run = |opts: &RunOptions| {
+            let (sys, launch, bufs) = prepare(c);
+            outcome(sys, &launch, &bufs, opts)
+        };
+        let checked = c.opts.clone().check().trace(64).profile();
+        assert_eq!(run(&c.opts), run(&checked), "{}", c.name);
+    }
+}
+
+/// Seeded launches that load and store through generated index shapes, each
+/// run bare and under `check()`. The armed racecheck keeps global accesses
+/// on the per-lane loop, so the bare run's coalesced accesses must match it
+/// in the report, every buffer word and the error text. Indices: the three
+/// lane-affine specials, `GlobalTid + k`, `2·LaneId`, `k − LaneId` and a
+/// column copied from `GlobalTid`. Groups: the full warp, a tail warp,
+/// lanes below `k` and the even lanes. Buffers: an exact fit, one 1–40
+/// words short, and synthetic buffers of 2^12 words (a store densifies them)
+/// and of 2^22 + 1 (a store fails).
+#[test]
+fn coalesced_access_matches_the_per_lane_loop() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut rng = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        state >> 16
     };
-    assert_eq!(
-        report(&RunOptions::new()),
-        report(&RunOptions::new().check().trace(64).profile())
+    let mut failed = 0;
+    for case in 0..320 {
+        let (shape, group, fit) = (case % 7, case / 7 % 4, case / 28 % 4);
+        let k = 1 + rng() % 31;
+        let grid_dim = 1 + rng() as u32 % 3;
+        let block_dim = if group == 1 { 48 } else { 64 };
+        let threads = grid_dim as u64 * block_dim as u64;
+
+        let mut b = KernelBuilder::new("index-shapes");
+        let (c, i, x) = (b.reg(), b.reg(), b.reg());
+        let (gtid, lane) = (Sp(Special::GlobalTid), Sp(Special::LaneId));
+        let idx = match shape {
+            0 => gtid,
+            1 => Sp(Special::Tid),
+            2 => lane,
+            3 => {
+                b.iadd(i, gtid, Imm(k));
+                Reg(i)
+            }
+            4 => {
+                b.imul(i, lane, Imm(2));
+                Reg(i)
+            }
+            5 => {
+                b.isub(i, Imm(k), lane);
+                Reg(i)
+            }
+            _ => {
+                b.mov(i, gtid);
+                Reg(i)
+            }
+        };
+        // The largest index any thread uses; `k − LaneId` wraps past every
+        // buffer for lanes above `k`.
+        let top = match shape {
+            0 | 6 => threads - 1,
+            1 => block_dim as u64 - 1,
+            2 => 31,
+            3 => threads - 1 + k,
+            4 => 62,
+            _ => k,
+        };
+        match group {
+            2 => {
+                b.cmp_lt(c, lane, Imm(k));
+                b.bra_ifz(Reg(c), "out");
+            }
+            3 => {
+                b.push(Instr::IAnd(c, lane, Imm(1)));
+                b.bra_if(Reg(c), "out");
+            }
+            _ => {}
+        }
+        b.push(Instr::LdGlobal {
+            dst: x,
+            buf: Param(0),
+            idx,
+        });
+        b.iadd(x, Reg(x), Sp(Special::Tid));
+        b.push(Instr::StGlobal {
+            buf: Param(1),
+            idx,
+            val: Reg(x),
+        });
+        b.label("out");
+        b.exit();
+        let kernel = b.build(0);
+
+        let mut sys = GpuSystem::new(sms(GpuArch::v100(), 2), Arc::new(NodeTopology::single()));
+        // A short buffer is the load's or the store's.
+        let (short, shorted) = (1 + rng() % 40, rng() % 2);
+        let bufs: Vec<BufId> = match fit {
+            0 | 1 => (0..2)
+                .map(|id| {
+                    let cut = if fit == 1 && id == shorted { short } else { 0 };
+                    let words = (top + 1).saturating_sub(cut);
+                    let buf = sys.alloc(0, words);
+                    for w in 0..words {
+                        sys.buffer_mut(buf)
+                            .store(w, int_words(id as u32, w) + 1)
+                            .unwrap();
+                    }
+                    buf
+                })
+                .collect(),
+            _ => {
+                let words = if fit == 2 { 1 << 12 } else { (1 << 22) + 1 };
+                (0..2)
+                    .map(|id| sys.alloc_linear(0, id as f64, 0.5, words))
+                    .collect()
+            }
+        };
+        let launch = GridLaunch {
+            kernel,
+            grid_dim,
+            block_dim,
+            kind: LaunchKind::Traditional,
+            devices: vec![0],
+            params: vec![bufs.iter().map(|b| b.0 as u64).collect()],
+            checked: false,
+        };
+        let bare = outcome(sys.clone(), &launch, &bufs, &RunOptions::new());
+        let checked = outcome(sys, &launch, &bufs, &RunOptions::new().check());
+        assert_eq!(
+            bare, checked,
+            "case {case}: shape {shape}, group {group}, fit {fit}, k {k}"
+        );
+        failed += bare.0.is_err() as u32;
+    }
+    // Both outcomes must be common, or the shapes test less than they name.
+    assert!(
+        (100..220).contains(&failed),
+        "{failed} of 320 launches failed"
     );
 }

@@ -369,18 +369,13 @@ mod tests {
         // `peek` and `len` checked after every operation. The bases put the
         // times in low and middle bits, across 2^63 and near the top of the
         // range.
-        let stable_min = |model: &[(Ps, u64)]| {
-            let min_t = model.iter().map(|e| e.0).min()?;
-            model.iter().position(|e| e.0 == min_t)
-        };
         let bases = [0, 1 << 40, (1 << 63) - (1 << 30), u64::MAX - (1 << 48)];
         for (round, base) in bases.into_iter().cycle().take(16).enumerate() {
-            let mut q = EventQueue::new();
-            let mut model: Vec<(Ps, u64)> = Vec::new();
-            let mut next_id = 0u64;
-            let mut now = Ps(base);
+            let mut r = Replay::new(Ps(base));
             let mut early = 0;
             for op in 0..3000 {
+                r.ctx = format!("round {round} op {op}");
+                let now = r.now;
                 let times: Vec<Ps> = match rng() % 16 {
                     0..=3 => {
                         let ahead = (1 << (20 + rng() % 8)) + rng() % (1 << 20);
@@ -395,37 +390,179 @@ mod tests {
                     _ => Vec::new(),
                 };
                 if op == 1500 {
-                    q.clear();
-                    model.clear();
+                    r.clear();
                 } else if !times.is_empty() {
-                    for t in times {
-                        q.push(t, next_id);
-                        model.push((t, next_id));
-                        next_id += 1;
-                    }
+                    times.into_iter().for_each(|t| r.push(t));
                 } else {
-                    let head = stable_min(&model).map(|p| (p, model[p]));
-                    assert_eq!(q.pop(), head.map(|(_, e)| e), "round {round} op {op}");
-                    if let Some((p, e)) = head {
-                        model.remove(p);
-                        now = e.0;
-                    }
+                    r.pop();
                 }
-                let head = stable_min(&model).map(|p| model[p]);
-                assert_eq!(q.peek_time(), head.map(|e| e.0), "round {round} op {op}");
-                assert_eq!(
-                    q.peek().map(|(t, &id)| (t, id)),
-                    head,
-                    "round {round} op {op}"
-                );
-                assert_eq!(q.len(), model.len(), "round {round} op {op}");
             }
-            while let Some(got) = q.pop() {
-                let pos = stable_min(&model).unwrap();
-                assert_eq!(got, model.remove(pos), "round {round} drain");
-            }
-            assert!(model.is_empty());
+            r.drain();
             assert!(early > 0, "round {round} never pushed before the last pop");
         }
+
+        // Rounds whose pushes differ from the time of the last pop in one
+        // 4-bit digit, raised to a higher value, with duplicates, pushes at
+        // that time and pops between: every bucket of the rule, and
+        // re-links from each one down.
+        for round in 0..16 {
+            let mut r = Replay::new(Ps::ZERO);
+            r.ctx = format!("digit round {round}");
+            r.push(Ps(rng()));
+            r.pop();
+            for op in 0..2000 {
+                r.ctx = format!("digit round {round} op {op}");
+                match rng() % 8 {
+                    0..=3 => {
+                        let shift = 4 * (rng() % 16);
+                        let cur = (r.now.0 >> shift) & 15;
+                        if cur < 15 {
+                            let digit = cur + 1 + rng() % (15 - cur);
+                            let t = Ps(r.now.0 & !(15 << shift) | digit << shift);
+                            (0..=rng() % 3).for_each(|_| r.push(t));
+                        }
+                    }
+                    4 => r.push(r.now),
+                    _ => r.pop(),
+                }
+            }
+            r.drain();
+        }
+
+        // Bursts that straddle a multiple of 16^k for every k in 1..=15, at
+        // every multiple of 16^15 in the top digit: the last pop sits just
+        // below the boundary, and pushes land on both sides of it, so a
+        // carry across 4k bits re-links entries down through every lower
+        // bucket.
+        let mut boundaries: Vec<(u64, u64)> = (1..15)
+            .map(|k| {
+                let high = rng() >> (4 * k + 4) << (4 * k + 4);
+                (k, high | (1 + rng() % 15) << (4 * k))
+            })
+            .collect();
+        boundaries.extend((1..16).map(|m| (15, m << 60)));
+        for (k, b) in boundaries {
+            let mut r = Replay::new(Ps::ZERO);
+            r.ctx = format!("boundary {b:#x}");
+            r.push(Ps(b - 1 - rng() % 16));
+            r.pop();
+            r.push(Ps(b));
+            r.push(Ps(b - 1));
+            for op in 0..400 {
+                r.ctx = format!("boundary {b:#x} op {op}");
+                if rng() % 2 == 0 {
+                    r.pop();
+                    continue;
+                }
+                let x = rng() % (2 << (4 * (rng() % k)));
+                let t = if rng() % 2 == 0 { b - 1 - x } else { b + x };
+                let t = Ps(t.max(r.now.0));
+                (0..=rng() % 2).for_each(|_| r.push(t));
+            }
+            r.drain();
+        }
+    }
+
+    /// The queue beside a model of its contract: a list of `(time, id)` in
+    /// push order, whose pop takes the first entry of the earliest time.
+    /// Every operation checks `peek_time`, `peek`, `len` and the bucket
+    /// layout afterwards.
+    struct Replay {
+        q: EventQueue<u64>,
+        model: Vec<(Ps, u64)>,
+        next_id: u64,
+        /// Time of the last pop.
+        now: Ps,
+        /// Where a failed check happened.
+        ctx: String,
+    }
+
+    impl Replay {
+        fn new(now: Ps) -> Replay {
+            Replay {
+                q: EventQueue::new(),
+                model: Vec::new(),
+                next_id: 0,
+                now,
+                ctx: String::new(),
+            }
+        }
+
+        /// Position of the model's next pop.
+        fn head(&self) -> Option<usize> {
+            let min_t = self.model.iter().map(|e| e.0).min()?;
+            self.model.iter().position(|e| e.0 == min_t)
+        }
+
+        fn push(&mut self, t: Ps) {
+            self.q.push(t, self.next_id);
+            self.model.push((t, self.next_id));
+            self.next_id += 1;
+            self.check();
+        }
+
+        fn pop(&mut self) {
+            let head = self.head().map(|p| self.model.remove(p));
+            assert_eq!(self.q.pop(), head, "{}", self.ctx);
+            if let Some((t, _)) = head {
+                self.now = t;
+            }
+            self.check();
+        }
+
+        fn clear(&mut self) {
+            self.q.clear();
+            self.model.clear();
+            self.check();
+        }
+
+        fn drain(&mut self) {
+            while !self.model.is_empty() {
+                self.pop();
+            }
+            assert_eq!(self.q.pop(), None, "{}", self.ctx);
+        }
+
+        fn check(&self) {
+            let head = self.head().map(|p| self.model[p]);
+            assert_eq!(self.q.peek_time(), head.map(|e| e.0), "{}", self.ctx);
+            let peeked = self.q.peek().map(|(t, &id)| (t, id));
+            assert_eq!(peeked, head, "{}", self.ctx);
+            assert_eq!(self.q.len(), self.model.len(), "{}", self.ctx);
+            assert_buckets(&self.q, &self.ctx);
+        }
+    }
+
+    /// Every pending entry sits in the bucket the rule names for its time
+    /// and `last`, each bucket's mask bit and minimum match its list, and
+    /// the lists hold `len` entries.
+    fn assert_buckets<E>(q: &EventQueue<E>, ctx: &str) {
+        let last = q.last.0;
+        let mut linked = 0;
+        for b in 0..BUCKETS {
+            let mut times = Vec::new();
+            let mut i = q.head[b];
+            while i != NIL {
+                times.push(q.slab[i as usize].at.0);
+                i = q.slab[i as usize].next;
+            }
+            linked += times.len();
+            if b == 0 {
+                assert!(times.iter().all(|&t| t == last), "{ctx}: bucket 0");
+                continue;
+            }
+            for &t in &times {
+                assert!(
+                    t > last && (t ^ last) >> (b - 1) == 1,
+                    "{ctx}: time {t:#x} in bucket {b} with last {last:#x}"
+                );
+            }
+            let set = q.nonempty >> (b - 1) & 1 == 1;
+            assert_eq!(set, !times.is_empty(), "{ctx}: mask bit of bucket {b}");
+            if let Some(&min) = times.iter().min() {
+                assert_eq!(q.min[b], Ps(min), "{ctx}: minimum of bucket {b}");
+            }
+        }
+        assert_eq!(linked, q.len, "{ctx}: linked entries");
     }
 }
