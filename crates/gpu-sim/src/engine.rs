@@ -15,7 +15,7 @@ use crate::fault::{self, FaultPlan};
 use crate::isa::{Instr, Operand, Program, Reg, ShflKind, ShflMode, Special, NUM_REGS};
 use crate::mem::{self, Buffer, GlobalAgent, GlobalHazard, GlobalRaceCheck, Hazard, SharedMem};
 use crate::profile::{BarrierEpoch, ProfileReport, SmProfile, SyncScope, EPOCH_CAP};
-use crate::system::{ExecReport, GpuSystem, GridLaunch};
+use crate::system::{ExecReport, GpuSystem, GridLaunch, RunArtifacts, RunOptions};
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use serde::{Deserialize, Serialize};
@@ -510,9 +510,9 @@ enum AluSrc {
     Col(usize),
     /// A lane-invariant value (immediate, kernel param, uniform special).
     Const(u64),
-    /// A lane-affine special: value is `base.wrapping_add(lane)` in u32
-    /// (matching `eval`'s u32 arithmetic), widened to u64. Covers `Tid`,
-    /// `LaneId`, and `GlobalTid` — every other special is warp-uniform.
+    /// A lane-affine special: value is `base.wrapping_add(lane)` in u32,
+    /// widened to u64. Covers `Tid`, `LaneId`, and `GlobalTid` — every
+    /// other special is warp-uniform.
     Lin(u32),
 }
 
@@ -526,7 +526,31 @@ enum Step {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(sys: &'a mut GpuSystem, launch: &'a GridLaunch) -> Engine<'a> {
+    /// An engine for `launch` with the instruments `opts` selects; `check`
+    /// arms the racechecks (the options' switch or the launch's own flag).
+    /// A zero fault plan arms nothing, so no fault hook ever fires.
+    pub(crate) fn new(
+        sys: &'a mut GpuSystem,
+        launch: &'a GridLaunch,
+        opts: &RunOptions,
+        check: bool,
+    ) -> Engine<'a> {
+        let fault = opts.fault_plan().filter(|p| !p.is_zero()).map(|p| {
+            let mut killed = p.killed_blocks.clone();
+            killed.sort_unstable();
+            killed.dedup();
+            FaultState {
+                plan: p.clone(),
+                degraded: p.degrades_links().then(|| {
+                    Arc::new(
+                        sys.topology
+                            .degraded(p.link_latency_mult_permille, p.link_bw_mult_permille),
+                    )
+                }),
+                killed,
+                barrier_draws: 0,
+            }
+        });
         let arch = sys.arch.clone();
         let ps_per_cycle = arch.clock().ps_per_cycle();
         let lat = LatTab::new(&arch, ps_per_cycle);
@@ -554,72 +578,19 @@ impl<'a> Engine<'a> {
             peer: HashMap::new(),
             instrs_executed: 0,
             warps_run: 0,
-            trace: None,
-            check: launch.checked,
+            trace: opts.trace_cap().map(|cap| (cap, Vec::new())),
+            check,
             grace: None,
-            prof: None,
-            last_issue_start: Ps::ZERO,
-            fault: None,
-            watchdog: None,
-            last_progress_at: Ps::ZERO,
-        }
-    }
-
-    /// Enable tracing of up to `cap` executed instructions.
-    pub(crate) fn with_trace(mut self, cap: usize) -> Self {
-        self.trace = Some((cap, Vec::new()));
-        self
-    }
-
-    /// Arm the dynamic racecheck (in addition to the launch's own flag).
-    pub(crate) fn with_check(mut self, check: bool) -> Self {
-        self.check |= check;
-        self
-    }
-
-    /// Arm fault injection from a plan. Zero plans (and `None`) leave the
-    /// engine in its clean configuration — no fault hook ever fires.
-    pub(crate) fn with_faults(mut self, plan: Option<&FaultPlan>) -> Self {
-        if let Some(p) = plan {
-            if !p.is_zero() {
-                let degraded = if p.degrades_links() {
-                    Some(Arc::new(self.sys.topology.degraded(
-                        p.link_latency_mult_permille,
-                        p.link_bw_mult_permille,
-                    )))
-                } else {
-                    None
-                };
-                let mut killed = p.killed_blocks.clone();
-                killed.sort_unstable();
-                killed.dedup();
-                self.fault = Some(FaultState {
-                    plan: p.clone(),
-                    degraded,
-                    killed,
-                    barrier_draws: 0,
-                });
-            }
-        }
-        self
-    }
-
-    /// Arm the progress watchdog with a simulated-time budget.
-    pub(crate) fn with_watchdog(mut self, budget: Option<Ps>) -> Self {
-        self.watchdog = budget;
-        self
-    }
-
-    /// Enable syncprof stall attribution and per-SM counters.
-    pub(crate) fn with_profile(mut self, profile: bool) -> Self {
-        if profile {
-            self.prof = Some(ProfState {
+            prof: opts.wants_profile().then(|| ProfState {
                 sms: Vec::new(),
                 epochs: Vec::new(),
                 epochs_dropped: 0,
-            });
+            }),
+            last_issue_start: Ps::ZERO,
+            fault,
+            watchdog: opts.watchdog_budget(),
+            last_progress_at: Ps::ZERO,
         }
-        self
     }
 
     /// Convert a cycle count to integer picoseconds. A negative count is a
@@ -630,14 +601,7 @@ impl<'a> Engine<'a> {
         cyc_of(self.ps_per_cycle, c)
     }
 
-    pub(crate) fn run_full(
-        mut self,
-    ) -> SimResult<(
-        ExecReport,
-        Vec<TraceEvent>,
-        HazardReport,
-        Option<ProfileReport>,
-    )> {
+    pub(crate) fn run_full(mut self) -> SimResult<RunArtifacts> {
         self.setup();
         while let Some((t, ev)) = self.q.pop() {
             debug_assert!(t >= self.now, "time went backwards");
@@ -671,13 +635,7 @@ impl<'a> Engine<'a> {
     /// Multi-grid release times from every rank's local arrival time — the
     /// master-device flag exchange of the paper's multi-grid barrier (§VI).
     fn mgrid_release_times(&self, arrivals: &[Ps]) -> Vec<Ps> {
-        let topo = match &self.fault {
-            Some(f) => f
-                .degraded
-                .clone()
-                .unwrap_or_else(|| self.sys.topology.clone()),
-            None => self.sys.topology.clone(),
-        };
+        let topo = self.topo();
         let master = self.launch.devices[0];
         // Arrival: every rank's leader flags the master. A flag posted while
         // the link is flapped down waits out the rest of the down window.
@@ -1297,35 +1255,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    // ----- operand evaluation -------------------------------------------------
-
-    fn eval(&self, w: u32, lane: u32, op: Operand) -> u64 {
-        let warp = &self.warps[w as usize];
-        match op {
-            Operand::Reg(r) => self.reg(w, lane, r),
-            Operand::Imm(v) => v,
-            Operand::Param(p) => self.launch.params[warp.rank as usize][p as usize],
-            Operand::Sp(s) => {
-                let block = &self.blocks[warp.block as usize];
-                let tid = warp.warp_in_block * WARP + lane;
-                match s {
-                    Special::Tid => tid as u64,
-                    Special::LaneId => lane as u64,
-                    Special::WarpId => warp.warp_in_block as u64,
-                    Special::BlockId => block.block_on_device as u64,
-                    Special::BlockDim => self.launch.block_dim as u64,
-                    Special::GridDim => self.launch.grid_dim as u64,
-                    Special::GpuRank => warp.rank as u64,
-                    Special::NumGpus => self.launch.devices.len() as u64,
-                    Special::GlobalTid => {
-                        (block.block_on_device * self.launch.block_dim + tid) as u64
-                    }
-                    Special::GridThreads => (self.launch.grid_dim * self.launch.block_dim) as u64,
-                }
-            }
-        }
-    }
-
     // ----- resource charging --------------------------------------------------
 
     /// Issue through the warp's scheduler slot, then optionally a unit.
@@ -1486,14 +1415,14 @@ impl<'a> Engine<'a> {
                 // Recycle the register slot for the next started warp.
                 let (slot, block) = (warp.regs, warp.block);
                 self.free_slots.push(slot);
-                self.warp_finished(block, w);
+                self.warp_finished(block);
             }
         }
     }
 
     /// ...and a fully exited warp may complete a pending block barrier or
     /// finish the block.
-    fn warp_finished(&mut self, gb: u32, _w: u32) {
+    fn warp_finished(&mut self, gb: u32) {
         let (live, kind) = {
             let b = &mut self.blocks[gb as usize];
             b.live_warps -= 1;
@@ -1612,8 +1541,8 @@ impl<'a> Engine<'a> {
     /// the register file; warp-uniform registers, immediates, kernel params,
     /// and warp-uniform specials become a single constant; lane-affine
     /// specials become a base the lane id is added to — all resolvable ONCE
-    /// per instruction instead of per lane (mirrors [`Engine::eval`],
-    /// including its u32 arithmetic).
+    /// per instruction instead of per lane. Every arm reads its operands
+    /// this way: resolved once, read per lane with [`Engine::src_val`].
     fn alu_src(&self, w: u32, op: Operand) -> AluSrc {
         match op {
             Operand::Reg(r) => {
@@ -1677,8 +1606,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Value of a pre-resolved source for one lane (used by the memory arms
-    /// to keep the per-lane work down to a register read in the common
+    /// Value of a pre-resolved source for one lane (keeps the per-lane work
+    /// of the lane loops down to a register read in the common
     /// uniform-operand case).
     #[inline]
     fn src_val(&self, lane: u32, src: AluSrc) -> u64 {
@@ -1692,7 +1621,7 @@ impl<'a> Engine<'a> {
     /// The lanes and first word of a global access that touches one run of
     /// consecutive words: `group` is one contiguous run of lanes, and `idx`
     /// reads `lo, lo + 1, …` over it without wrapping (in `u32` for a
-    /// lane-affine special, as `eval` computes it). An armed racecheck
+    /// lane-affine special, as `src_val` computes it). An armed racecheck
     /// observes each lane, so it keeps every access on the per-lane loop.
     #[inline]
     fn coalesced(&self, group: u32, idx: AluSrc) -> Option<(Range<usize>, u64)> {
@@ -1723,48 +1652,8 @@ impl<'a> Engine<'a> {
         Some((lanes, lo))
     }
 
-    /// Unary ALU op: `d = f(a)` for every lane in `group`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn alu1(
-        &mut self,
-        w: u32,
-        group: u32,
-        pc: u32,
-        d: Reg,
-        a: Operand,
-        lat: Ps,
-        f: impl Fn(u64) -> u64,
-    ) -> SimResult<Step> {
-        let start = self.charge_sched(w);
-        let dcol = self.reg_at(w, d);
-        if self.reg_layout.is_scalar(d) {
-            let x = scalar_src(self.alu_src(w, a), d);
-            self.debug_scalar_write(w, group, d);
-            *self.reg_word_mut(dcol) = f(x);
-            self.advance_pcs(w, group, pc);
-            return Ok(Step::Ready(start + lat));
-        }
-        // Materialize the source (a 256-byte stack copy) so the destination
-        // column may alias it and the compute loop vectorizes.
-        let mut av = [0u64; WARP as usize];
-        self.fill_src(self.alu_src(w, a), &mut av);
-        let dst = self.reg_col_mut(dcol);
-        if group == FULL {
-            for (o, &x) in dst.iter_mut().zip(av.iter()) {
-                *o = f(x);
-            }
-        } else {
-            for lane in iter_lanes(group) {
-                let l = (lane & 31) as usize;
-                dst[l] = f(av[l]);
-            }
-        }
-        self.advance_pcs(w, group, pc);
-        Ok(Step::Ready(start + lat))
-    }
-
-    /// Binary ALU op: `d = f(a, b)` for every lane in `group`.
+    /// ALU op: `d = f(a, b)` for every lane in `group`. Unary ops pass
+    /// `Imm(0)` as `b`, which takes the constant-operand loop.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn alu2(
@@ -1829,6 +1718,41 @@ impl<'a> Engine<'a> {
         Ok(Step::Ready(start + lat))
     }
 
+    /// The lane loop of every instruction served by the L2 atomic unit (the
+    /// global atomics, `wait.ge` and `signal`). After the scheduler issue,
+    /// each lane of `group` in order pays one L2 round trip and applies `op`
+    /// to word `idx` of buffer `buf` with its two value operands (`Imm(0)`
+    /// pads a missing one). `op` returns the old value, written to
+    /// `dst_old`, and a flag. Returns the last round trip's completion and
+    /// the lanes whose flag was set.
+    fn l2_lanes<const N: usize>(
+        &mut self,
+        w: u32,
+        group: u32,
+        dst_old: Option<Reg>,
+        ops: [Operand; N],
+        op: impl Fn(&mut Buffer, u64, u64, u64) -> SimResult<(u64, bool)>,
+    ) -> SimResult<(Ps, u32)> {
+        let rank = self.warps[w as usize].rank as usize;
+        let start = self.charge_sched(w);
+        let mut src = [AluSrc::Const(0); 4];
+        for (s, &o) in src.iter_mut().zip(&ops) {
+            *s = self.alu_src(w, o);
+        }
+        let (int_ps, lat_ps) = (self.lat.l2_atomic_int, self.lat.global_atomic);
+        let (mut done, mut flagged) = (start, 0u32);
+        for lane in iter_lanes(group) {
+            let [b, i, x, y] = src.map(|s| self.src_val(lane, s));
+            done = done.max(self.devs[rank].l2.issue(start, int_ps, lat_ps).done);
+            let (old, flag) = op(checked_buffer_mut(&mut self.sys.bufs, b as usize)?, i, x, y)?;
+            if let Some(d) = dst_old {
+                self.set_reg(w, lane, d, old);
+            }
+            flagged |= (flag as u32) << lane;
+        }
+        Ok((done, flagged))
+    }
+
     fn exec(&mut self, w: u32, group: u32, pc: u32, instr: Instr) -> SimResult<Step> {
         use Instr::*;
         if !matches!(
@@ -1858,8 +1782,10 @@ impl<'a> Engine<'a> {
             CmpEq(d, a, b) => {
                 self.alu2(w, group, pc, d, a, b, self.lat.alu, |x, y| (x == y) as u64)
             }
-            Mov(d, a) => self.alu1(w, group, pc, d, a, self.lat.alu, |x| x),
-            I2F(d, a) => self.alu1(w, group, pc, d, a, self.lat.alu, |x| (x as f64).to_bits()),
+            Mov(d, a) => self.alu2(w, group, pc, d, a, Operand::Imm(0), self.lat.alu, |x, _| x),
+            I2F(d, a) => self.alu2(w, group, pc, d, a, Operand::Imm(0), self.lat.alu, |x, _| {
+                (x as f64).to_bits()
+            }),
             FAdd(d, a, b) => self.alu2(w, group, pc, d, a, b, self.lat.fadd64, |x, y| {
                 (f64::from_bits(x) + f64::from_bits(y)).to_bits()
             }),
@@ -2091,24 +2017,12 @@ impl<'a> Engine<'a> {
                 idx,
                 val,
             } => {
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let v = f64::from_bits(self.eval(w, lane, val));
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    let old = f64::from_bits(buffer.load(i)?);
-                    buffer.store(i, (old + v).to_bits())?;
-                    if let Some(d) = dst_old {
-                        self.set_reg(w, lane, d, old.to_bits());
-                    }
-                }
+                let (done, _) =
+                    self.l2_lanes(w, group, dst_old, [buf, idx, val], |m, i, v, _| {
+                        let old = m.load(i)?;
+                        m.store(i, (f64::from_bits(old) + f64::from_bits(v)).to_bits())?;
+                        Ok((old, false))
+                    })?;
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
@@ -2120,39 +2034,28 @@ impl<'a> Engine<'a> {
                 cmp,
                 val,
             } => {
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let c = self.eval(w, lane, cmp);
-                    let v = self.eval(w, lane, val);
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    let old = buffer.load(i)?;
-                    let exchanged = old == c;
-                    if exchanged {
-                        buffer.store(i, v)?;
-                    }
-                    if let Some(d) = dst_old {
-                        self.set_reg(w, lane, d, old);
-                    }
+                let (done, won) =
+                    self.l2_lanes(w, group, dst_old, [buf, idx, cmp, val], |m, i, c, v| {
+                        let old = m.load(i)?;
+                        let exchanged = old == c;
+                        if exchanged {
+                            m.store(i, v)?;
+                        }
+                        Ok((old, exchanged))
+                    })?;
+                if won != 0 {
                     // A *successful* CAS (a lock acquired) is semantic
                     // progress even inside a retry loop whose PCs the
                     // watermark has already seen; a CAS that only ever
                     // fails (the holder died) still starves the watchdog.
-                    if exchanged {
-                        self.note_semantic_progress();
-                        // Only an exchange that *won* synchronizes anything;
-                        // failed CAS polls must not advance the epoch or a
-                        // spinning loser would mask the very race its lock
-                        // is meant to prevent.
-                        self.grace_sync();
-                    }
+                    self.note_semantic_progress();
+                }
+                // Only an exchange that *won* synchronizes anything: one
+                // epoch per winning lane. Failed CAS polls must not advance
+                // the epoch or a spinning loser would mask the very race its
+                // lock is meant to prevent.
+                for _ in iter_lanes(won) {
+                    self.grace_sync();
                 }
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
@@ -2163,24 +2066,12 @@ impl<'a> Engine<'a> {
                 idx,
                 val,
             } => {
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let v = self.eval(w, lane, val);
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    let old = buffer.load(i)?;
-                    buffer.store(i, v)?;
-                    if let Some(d) = dst_old {
-                        self.set_reg(w, lane, d, old);
-                    }
-                }
+                let (done, _) =
+                    self.l2_lanes(w, group, dst_old, [buf, idx, val], |m, i, v, _| {
+                        let old = m.load(i)?;
+                        m.store(i, v)?;
+                        Ok((old, false))
+                    })?;
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
@@ -2191,24 +2082,12 @@ impl<'a> Engine<'a> {
                 idx,
                 val,
             } => {
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let v = self.eval(w, lane, val);
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    let old = buffer.load(i)?;
-                    buffer.store(i, old.wrapping_add(v))?;
-                    if let Some(d) = dst_old {
-                        self.set_reg(w, lane, d, old);
-                    }
-                }
+                let (done, _) =
+                    self.l2_lanes(w, group, dst_old, [buf, idx, val], |m, i, v, _| {
+                        let old = m.load(i)?;
+                        m.store(i, old.wrapping_add(v))?;
+                        Ok((old, false))
+                    })?;
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
@@ -2217,24 +2096,11 @@ impl<'a> Engine<'a> {
                 // One poll of the flag cell(s): every active lane pays a full
                 // L2 atomic round trip (the paper's measured global-atomic
                 // latency — flag polls and atomics share the L2 atomic unit).
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                let mut satisfied = true;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let t = self.eval(w, lane, target);
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    if buffer.load(i)? < t {
-                        satisfied = false;
-                    }
-                }
-                if satisfied {
+                let (done, seen) =
+                    self.l2_lanes(w, group, None, [buf, idx, target], |m, i, t, _| {
+                        Ok((0, m.load(i)? >= t))
+                    })?;
+                if seen == group {
                     // All active lanes saw their flags: fall through. A
                     // satisfied wait is semantic progress even when this PC
                     // was already visited (a barrier loop re-crossing the
@@ -2258,20 +2124,10 @@ impl<'a> Engine<'a> {
                 // Release-store through the L2 atomic unit: an atomicExch
                 // whose old value is discarded. The warp waits for the round
                 // trip, like every other global atomic.
-                let warp_rank = self.warps[w as usize].rank as usize;
-                let start = self.charge_sched(w);
-                let mut done = start;
-                let int_ps = self.lat.l2_atomic_int;
-                let lat_ps = self.lat.global_atomic;
-                for lane in iter_lanes(group) {
-                    let b = self.eval(w, lane, buf) as usize;
-                    let i = self.eval(w, lane, idx);
-                    let v = self.eval(w, lane, val);
-                    let iss = self.devs[warp_rank].l2.issue(start, int_ps, lat_ps);
-                    done = done.max(iss.done);
-                    let buffer = checked_buffer_mut(&mut self.sys.bufs, b)?;
-                    buffer.store(i, v)?;
-                }
+                let (done, _) = self.l2_lanes(w, group, None, [buf, idx, val], |m, i, v, _| {
+                    m.store(i, v)?;
+                    Ok((0, false))
+                })?;
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(done))
@@ -2346,26 +2202,23 @@ impl<'a> Engine<'a> {
             SyncCoalesced => self.warp_barrier(w, group, pc, WARP, ShflKind::Coalesced),
             MemFence => {
                 let start = self.charge_sched(w);
-                let block = self.warps[w as usize].block;
-                for lane in iter_lanes(group) {
-                    let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                    self.blocks[block as usize].smem.fence(tid);
-                }
+                self.fence_lanes(w, group);
                 self.grace_sync();
                 self.advance_pcs(w, group, pc);
                 Ok(Step::Ready(start + self.lat.c4))
             }
 
-            BarSync => self.block_level_barrier(w, group, pc, BlockWaitKind::Block),
-            GridSync => self.block_level_barrier(w, group, pc, BlockWaitKind::Grid),
-            MultiGridSync => self.block_level_barrier(w, group, pc, BlockWaitKind::MultiGrid),
+            BarSync => self.block_level_barrier(w, group, BlockWaitKind::Block),
+            GridSync => self.block_level_barrier(w, group, BlockWaitKind::Grid),
+            MultiGridSync => self.block_level_barrier(w, group, BlockWaitKind::MultiGrid),
 
             Nanosleep(ns) => {
                 let start = self.charge_sched(w);
-                let mut max_ns = 0u64;
-                for lane in iter_lanes(group) {
-                    max_ns = max_ns.max(self.eval(w, lane, ns));
-                }
+                let ns = self.alu_src(w, ns);
+                let max_ns = iter_lanes(group)
+                    .map(|lane| self.src_val(lane, ns))
+                    .max()
+                    .unwrap_or(0);
                 // The operand is kernel data: a wake past half the
                 // picosecond timeline fails the launch instead of wrapping,
                 // which leaves 2^63 ps of headroom for every later add.
@@ -2516,6 +2369,19 @@ impl<'a> Engine<'a> {
 
     // ----- warp-level (tile / coalesced) barriers ------------------------------
 
+    /// Commit the pending shared-memory stores of the lanes in `mask` of
+    /// warp `w` (the fence every sync instruction carries).
+    fn fence_lanes(&mut self, w: u32, mask: u32) {
+        let warp = &self.warps[w as usize];
+        let (tid0, smem) = (
+            warp.warp_in_block * WARP,
+            &mut self.blocks[warp.block as usize].smem,
+        );
+        for lane in iter_lanes(mask) {
+            smem.fence(tid0 + lane);
+        }
+    }
+
     fn warp_barrier(
         &mut self,
         w: u32,
@@ -2557,11 +2423,7 @@ impl<'a> Engine<'a> {
             let unit = self.devs[rank].sms[sm]
                 .sync_unit
                 .issue(start, interval, Ps::ZERO);
-            let block = self.warps[w as usize].block;
-            for lane in iter_lanes(group) {
-                let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                self.blocks[block as usize].smem.fence(tid);
-            }
+            self.fence_lanes(w, group);
             self.advance_pcs(w, group, pc);
             return Ok(Step::Ready(unit.start + latency));
         }
@@ -2630,11 +2492,7 @@ impl<'a> Engine<'a> {
             let latency = self.lat.tile_sync_lat;
             // Commit stores of all released lanes; each advances past its own
             // barrier site (divergent code can sync at different PCs).
-            let block = self.warps[w as usize].block;
-            for lane in iter_lanes(released) {
-                let tid = self.warps[w as usize].warp_in_block * WARP + lane;
-                self.blocks[block as usize].smem.fence(tid);
-            }
+            self.fence_lanes(w, released);
             self.bump_pcs(w, released);
             self.note_lanes(w, released);
             {
@@ -2650,13 +2508,7 @@ impl<'a> Engine<'a> {
 
     // ----- block / grid / multi-grid barriers ----------------------------------
 
-    fn block_level_barrier(
-        &mut self,
-        w: u32,
-        group: u32,
-        pc: u32,
-        kind: BlockWaitKind,
-    ) -> SimResult<Step> {
+    fn block_level_barrier(&mut self, w: u32, group: u32, kind: BlockWaitKind) -> SimResult<Step> {
         // The whole warp (its non-exited lanes) must converge on the barrier.
         {
             let warp = &mut self.warps[w as usize];
@@ -2674,7 +2526,6 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let _ = pc;
         self.warp_arrives_at_block_barrier(w, kind);
         Ok(Step::Parked {
             warp_barrier: false,
@@ -2898,7 +2749,8 @@ impl<'a> Engine<'a> {
     ) -> SimResult<Step> {
         let start = self.charge_sched(w);
         let warp_rank = self.warps[w as usize].rank as usize;
-        let mut total_elems = 0u64;
+        // Stream lengths are kernel data: 32 of them overflow a u64 sum.
+        let mut total_elems = 0u128;
         let mut max_iters = 0u64;
         let mut remote_dev: Option<usize> = None;
         // Operands resolved once; the per-lane loop only reads registers.
@@ -2921,7 +2773,7 @@ impl<'a> Engine<'a> {
                 remote_dev = Some(buffer.device);
             }
             let (sum, cnt) = buffer.strided_sum(s, k, n)?;
-            total_elems += cnt;
+            total_elems += cnt as u128;
             max_iters = max_iters.max(cnt);
             sums[(lane & 31) as usize] = sum;
         }
@@ -2931,30 +2783,45 @@ impl<'a> Engine<'a> {
             self.set_reg(w, lane, acc, (old + sums[(lane & 31) as usize]).to_bits());
         }
         self.advance_pcs(w, group, pc);
+        // A stream that would complete past half the picosecond timeline
+        // fails the launch before any channel is charged, the headroom a
+        // `Nanosleep` keeps for every later add.
+        let launch = self.launch;
+        let overflow = || {
+            SimError::ProgramError(format!(
+                "kernel {:?}: a stream of {total_elems} words overflows the simulated clock",
+                launch.kernel.name
+            ))
+        };
         // A sub-unity efficiency stretches the channel occupancy, modelling
         // less ideal access patterns of baseline implementations.
-        let eff = (eff_permille.clamp(1, 1000)) as u64;
-        let bytes = total_elems * 8 * 1000 / eff;
-        let (dram_latency, warp_mlp_bytes) = {
-            let mem = &self.arch.memory;
-            (mem.dram_latency, mem.warp_mlp_bytes)
-        };
-        let local_dev_id = self.devs[warp_rank].device_id;
-        let ch_done = match remote_dev {
-            None => self.devs[warp_rank].dram.transfer(start, bytes).done,
-            Some(rd) => {
-                let start = start + self.fault_flap(start);
-                self.peer_channel(rd, local_dev_id)
-                    .transfer(start, bytes)
-                    .done
-            }
-        };
+        let eff = eff_permille.clamp(1, 1000) as u128;
+        let bytes = u64::try_from(total_elems * 8 * 1000 / eff).map_err(|_| overflow())?;
         // Little's-law per-warp floor: limited memory-level parallelism.
-        let warp_bytes: u64 = bytes.min(max_iters * 8 * group.count_ones() as u64);
-        let floor_cycles = warp_bytes as f64 * dram_latency as f64 / warp_mlp_bytes as f64;
+        let warp_bytes = bytes.min(max_iters.saturating_mul(8 * group.count_ones() as u64));
+        let mem = &self.arch.memory;
+        let floor_cycles = warp_bytes as f64 * mem.dram_latency as f64 / mem.warp_mlp_bytes as f64;
+        let floor = self.cyc(floor_cycles);
         let tail = self.cyc((flops as u64 * self.arch.timing.fadd64_latency) as f64);
-        let done = ch_done.max(start + self.cyc(floor_cycles)) + tail;
-        Ok(Step::Ready(done))
+        let local_dev_id = self.devs[warp_rank].device_id;
+        let (ch_start, ch) = match remote_dev {
+            None => (start, &mut self.devs[warp_rank].dram),
+            Some(rd) => (
+                start + self.fault_flap(start),
+                self.peer_channel(rd, local_dev_id),
+            ),
+        };
+        // The channel's completion, as `transfer` computes it.
+        let ch_done = [ch.latency(), ch.service_time(bytes)]
+            .iter()
+            .try_fold(ch_start.max(ch.next_free()).0, |t, d| t.checked_add(d.0));
+        let done = ch_done
+            .zip(start.0.checked_add(floor.0))
+            .and_then(|(c, f)| c.max(f).checked_add(tail.0))
+            .filter(|&t| t <= u64::MAX / 2)
+            .ok_or_else(overflow)?;
+        ch.transfer(ch_start, bytes);
+        Ok(Step::Ready(Ps(done)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2976,10 +2843,15 @@ impl<'a> Engine<'a> {
         let mut total_elems = 0u64;
         let mut max_iters = 0u64;
         self.blocks[block].smem.racecheck_at(pc);
+        let (rs, rk, rn) = (
+            self.alu_src(w, st),
+            self.alu_src(w, stride),
+            self.alu_src(w, len),
+        );
         for lane in iter_lanes(group) {
-            let s = self.eval(w, lane, st);
-            let k = self.eval(w, lane, stride).max(1);
-            let n = self.eval(w, lane, len);
+            let s = self.src_val(lane, rs);
+            let k = self.src_val(lane, rk).max(1);
+            let n = self.src_val(lane, rn);
             let tid = warp_in_block * WARP + lane;
             let cap = n.min(self.blocks[block].smem.len() as u64);
             let mut sum = 0.0f64;
@@ -3072,14 +2944,7 @@ impl<'a> Engine<'a> {
         blocked
     }
 
-    fn finish(
-        mut self,
-    ) -> SimResult<(
-        ExecReport,
-        Vec<TraceEvent>,
-        HazardReport,
-        Option<ProfileReport>,
-    )> {
+    fn finish(mut self) -> SimResult<RunArtifacts> {
         let blocked = self.blocked_descriptors();
         if !blocked.is_empty() {
             return Err(SimError::Deadlock {
@@ -3117,18 +2982,19 @@ impl<'a> Engine<'a> {
                 p.epochs_dropped,
             )
         });
-        Ok((
-            ExecReport {
+        Ok(RunArtifacts {
+            report: ExecReport {
                 duration: device_durations.iter().copied().max().unwrap_or(Ps::ZERO),
                 device_durations,
                 blocks_run: self.blocks.len() as u64,
                 warps_run: self.warps_run,
                 instrs_executed: self.instrs_executed,
             },
-            self.trace.map(|(_, ev)| ev).unwrap_or_default(),
-            hazards,
+            hazards: self.check.then_some(hazards),
+            trace: self.trace.map(|(_, ev)| ev),
             profile,
-        ))
+            recovery: None,
+        })
     }
 }
 

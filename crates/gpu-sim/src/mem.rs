@@ -334,25 +334,111 @@ pub struct Hazard {
     pub pc: Option<u32>,
 }
 
-/// Shadow state per word: the most recent write and the last two distinct
-/// readers of the current epoch. Tracking two readers (not all) is the same
-/// approximation hardware racecheck tools make — it catches every
-/// two-thread race and only under-reports *which* of three-plus concurrent
-/// readers conflicted.
-#[derive(Debug, Clone, Copy, Default)]
-struct Shadow {
-    /// (thread, epoch) of the most recent write.
-    write: Option<(u32, u32)>,
-    /// (thread, epoch) of the most recent read.
-    read: Option<(u32, u32)>,
-    /// A same-epoch reader distinct from `read`'s thread, if any.
-    other_reader: Option<u32>,
+/// Shadow state per word, for accesses by agents `A` (a thread id in shared
+/// memory, a [`GlobalAgent`] in global memory): the most recent write and
+/// the last two distinct readers of the current epoch. Tracking two readers
+/// (not all) is the same approximation hardware racecheck tools make — it
+/// catches every two-agent race and only under-reports *which* of
+/// three-plus concurrent readers conflicted.
+#[derive(Debug, Clone, Copy)]
+struct Shadow<A> {
+    /// (agent, epoch) of the most recent write.
+    write: Option<(A, u32)>,
+    /// (agent, epoch) of the most recent read.
+    read: Option<(A, u32)>,
+    /// A same-epoch reader distinct from `read`'s agent, if any.
+    other_reader: Option<A>,
+}
+
+/// What one access raced with: the hazard's kind and the earlier agent.
+type Race<A> = Option<(HazardKind, A)>;
+
+impl<A: Copy + PartialEq> Shadow<A> {
+    const EMPTY: Shadow<A> = Shadow {
+        write: None,
+        read: None,
+        other_reader: None,
+    };
+
+    /// A load by `agent` in `epoch`: the same-epoch write it reads after.
+    fn load(&mut self, agent: A, epoch: u32) -> [Race<A>; 2] {
+        let raw = match self.write {
+            Some((w, e)) if e == epoch && w != agent => Some((HazardKind::Raw, w)),
+            _ => None,
+        };
+        match self.read {
+            Some((r, e)) if e == epoch => {
+                if r != agent {
+                    self.other_reader = Some(r);
+                }
+            }
+            _ => self.other_reader = None,
+        }
+        self.read = Some((agent, epoch));
+        [raw, None]
+    }
+
+    /// A store by `agent` in `epoch`: the same-epoch write it overwrites,
+    /// then the same-epoch read it follows.
+    fn store(&mut self, agent: A, epoch: u32) -> [Race<A>; 2] {
+        let waw = match self.write {
+            Some((w, e)) if e == epoch && w != agent => Some((HazardKind::Waw, w)),
+            _ => None,
+        };
+        let war = match self.read {
+            Some((r, e)) if e == epoch && r != agent => Some(r),
+            Some((_, e)) if e == epoch => self.other_reader.filter(|&o| o != agent),
+            _ => None,
+        };
+        self.write = Some((agent, epoch));
+        [waw, war.map(|r| (HazardKind::War, r))]
+    }
+}
+
+/// Per-block (shared) or launch-wide (global) cap on stored hazard records
+/// (a racing loop would otherwise allocate without bound; the overflow is
+/// still counted).
+pub const MAX_RECORDED_HAZARDS: usize = 64;
+
+/// Hazard records, the first [`MAX_RECORDED_HAZARDS`] stored and the rest
+/// counted.
+#[derive(Debug, Clone)]
+struct Records<H> {
+    kept: Vec<H>,
+    dropped: u32,
+}
+
+impl<H> Default for Records<H> {
+    fn default() -> Records<H> {
+        Records {
+            kept: Vec::new(),
+            dropped: 0,
+        }
+    }
+}
+
+impl<H> Records<H> {
+    fn push(&mut self, h: H) {
+        if self.kept.len() < MAX_RECORDED_HAZARDS {
+            self.kept.push(h);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Drain the stored records (in detection order) and the overflow count.
+    fn take(&mut self) -> (Vec<H>, u32) {
+        (
+            std::mem::take(&mut self.kept),
+            std::mem::take(&mut self.dropped),
+        )
+    }
 }
 
 /// Racecheck bookkeeping, allocated only in `checked()` launches.
 #[derive(Debug, Clone)]
 struct RaceCheck {
-    shadow: Vec<Shadow>,
+    shadow: Vec<Shadow<u32>>,
     /// Barrier epoch: bumped by [`SharedMem::fence_all`] (the block
     /// barrier), the only synchronization that orders *all* threads of the
     /// block. Warp-level syncs do not advance it, so warp-synchronized
@@ -361,87 +447,22 @@ struct RaceCheck {
     epoch: u32,
     /// Pc of the access being executed, provided by the engine.
     pc: Option<u32>,
-    hazards: Vec<Hazard>,
-    /// Hazards beyond [`MAX_RECORDED_HAZARDS`] are counted, not stored.
-    dropped: u32,
+    hazards: Records<Hazard>,
 }
 
-/// Per-block cap on stored hazard records (a racing loop would otherwise
-/// allocate without bound; the overflow is still counted).
-pub const MAX_RECORDED_HAZARDS: usize = 64;
-
 impl RaceCheck {
-    fn record(&mut self, h: Hazard) {
-        if self.hazards.len() < MAX_RECORDED_HAZARDS {
-            self.hazards.push(h);
-        } else {
-            self.dropped += 1;
+    /// Record what an access by `thread` to `addr` raced with.
+    fn record(&mut self, thread: u32, addr: u64, races: [Race<u32>; 2]) {
+        for (kind, first) in races.into_iter().flatten() {
+            self.hazards.push(Hazard {
+                kind,
+                addr,
+                first_thread: first,
+                second_thread: thread,
+                epoch: self.epoch,
+                pc: self.pc,
+            });
         }
-    }
-
-    fn on_load(&mut self, thread: u32, addr: u64) {
-        let s = &mut self.shadow[addr as usize];
-        if let Some((w, e)) = s.write {
-            if e == self.epoch && w != thread {
-                let h = Hazard {
-                    kind: HazardKind::Raw,
-                    addr,
-                    first_thread: w,
-                    second_thread: thread,
-                    epoch: self.epoch,
-                    pc: self.pc,
-                };
-                self.record(h);
-            }
-        }
-        let s = &mut self.shadow[addr as usize];
-        match s.read {
-            Some((r, e)) if e == self.epoch => {
-                if r != thread {
-                    s.other_reader = Some(r);
-                }
-            }
-            _ => s.other_reader = None,
-        }
-        s.read = Some((thread, self.epoch));
-    }
-
-    fn on_store(&mut self, thread: u32, addr: u64) {
-        let s = self.shadow[addr as usize];
-        if let Some((w, e)) = s.write {
-            if e == self.epoch && w != thread {
-                let h = Hazard {
-                    kind: HazardKind::Waw,
-                    addr,
-                    first_thread: w,
-                    second_thread: thread,
-                    epoch: self.epoch,
-                    pc: self.pc,
-                };
-                self.record(h);
-            }
-        }
-        if let Some((r, e)) = s.read {
-            if e == self.epoch {
-                let reader = if r != thread {
-                    Some(r)
-                } else {
-                    s.other_reader.filter(|&o| o != thread)
-                };
-                if let Some(first) = reader {
-                    let h = Hazard {
-                        kind: HazardKind::War,
-                        addr,
-                        first_thread: first,
-                        second_thread: thread,
-                        epoch: self.epoch,
-                        pc: self.pc,
-                    };
-                    self.record(h);
-                }
-            }
-        }
-        self.shadow[addr as usize].write = Some((thread, self.epoch));
     }
 }
 
@@ -465,11 +486,10 @@ impl SharedMem {
         SharedMem {
             words: vec![SmemWord::default(); words as usize],
             race: Some(RaceCheck {
-                shadow: vec![Shadow::default(); words as usize],
+                shadow: vec![Shadow::EMPTY; words as usize],
                 epoch: 0,
                 pc: None,
-                hazards: Vec::new(),
-                dropped: 0,
+                hazards: Records::default(),
             }),
         }
     }
@@ -490,11 +510,7 @@ impl SharedMem {
     /// dropped beyond [`MAX_RECORDED_HAZARDS`].
     pub fn take_hazards(&mut self) -> (Vec<Hazard>, u32) {
         match &mut self.race {
-            Some(rc) => {
-                let dropped = rc.dropped;
-                rc.dropped = 0;
-                (std::mem::take(&mut rc.hazards), dropped)
-            }
+            Some(rc) => rc.hazards.take(),
             None => (Vec::new(), 0),
         }
     }
@@ -523,7 +539,8 @@ impl SharedMem {
     pub fn load(&mut self, thread: u32, addr: u64, volatile: bool) -> SimResult<u64> {
         let i = self.check(thread, addr)?;
         if let Some(rc) = &mut self.race {
-            rc.on_load(thread, addr);
+            let races = rc.shadow[i].load(thread, rc.epoch);
+            rc.record(thread, addr, races);
         }
         let w = &self.words[i];
         Ok(match w.pending {
@@ -541,7 +558,8 @@ impl SharedMem {
     pub fn store(&mut self, thread: u32, addr: u64, val: u64, volatile: bool) -> SimResult<()> {
         let i = self.check(thread, addr)?;
         if let Some(rc) = &mut self.race {
-            rc.on_store(thread, addr);
+            let races = rc.shadow[i].store(thread, rc.epoch);
+            rc.record(thread, addr, races);
         }
         if volatile {
             self.words[i].committed = val;
@@ -612,18 +630,10 @@ pub struct GlobalHazard {
     pub pc: Option<u32>,
 }
 
-/// Shadow state per global word — same two-reader approximation as the
-/// shared-memory [`Shadow`].
-#[derive(Debug, Clone, Copy, Default)]
-struct GlobalShadow {
-    write: Option<(GlobalAgent, u32)>,
-    read: Option<(GlobalAgent, u32)>,
-    other_reader: Option<GlobalAgent>,
-}
-
 /// Launch-wide racecheck over plain global loads and stores.
 ///
-/// Mirrors the shared-memory shadow, with two deliberate differences:
+/// The same shadow as the shared-memory racecheck, with two deliberate
+/// differences:
 ///
 /// * **Scope.** One instance covers the whole launch (all blocks, all
 ///   devices), because global memory is the medium every cross-block
@@ -640,12 +650,10 @@ struct GlobalShadow {
 ///   ones on correctly flag-synchronized handoffs.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalRaceCheck {
-    shadow: std::collections::HashMap<(u32, u64), GlobalShadow>,
+    shadow: std::collections::HashMap<(u32, u64), Shadow<GlobalAgent>>,
     epoch: u32,
     pc: Option<u32>,
-    hazards: Vec<GlobalHazard>,
-    /// Hazards beyond [`MAX_RECORDED_HAZARDS`] are counted, not stored.
-    dropped: u32,
+    hazards: Records<GlobalHazard>,
 }
 
 impl GlobalRaceCheck {
@@ -667,88 +675,34 @@ impl GlobalRaceCheck {
     /// Drain recorded hazards (insertion order — the engine's deterministic
     /// execution order) and the overflow count.
     pub fn take_hazards(&mut self) -> (Vec<GlobalHazard>, u32) {
-        (
-            std::mem::take(&mut self.hazards),
-            std::mem::take(&mut self.dropped),
-        )
-    }
-
-    fn record(&mut self, h: GlobalHazard) {
-        if self.hazards.len() < MAX_RECORDED_HAZARDS {
-            self.hazards.push(h);
-        } else {
-            self.dropped += 1;
-        }
+        self.hazards.take()
     }
 
     pub fn on_load(&mut self, agent: GlobalAgent, buf: u32, idx: u64) {
-        let epoch = self.epoch;
-        let pc = self.pc;
-        let s = self.shadow.entry((buf, idx)).or_default();
-        let hazard = match s.write {
-            Some((w, e)) if e == epoch && w != agent => Some(GlobalHazard {
-                kind: HazardKind::Raw,
-                buf,
-                idx,
-                first: w,
-                second: agent,
-                epoch,
-                pc,
-            }),
-            _ => None,
-        };
-        match s.read {
-            Some((r, e)) if e == epoch => {
-                if r != agent {
-                    s.other_reader = Some(r);
-                }
-            }
-            _ => s.other_reader = None,
-        }
-        s.read = Some((agent, epoch));
-        if let Some(h) = hazard {
-            self.record(h);
-        }
+        let word = self.shadow.entry((buf, idx)).or_insert(Shadow::EMPTY);
+        let races = word.load(agent, self.epoch);
+        self.record(agent, buf, idx, races);
     }
 
     pub fn on_store(&mut self, agent: GlobalAgent, buf: u32, idx: u64) {
-        let epoch = self.epoch;
-        let pc = self.pc;
-        let s = *self.shadow.entry((buf, idx)).or_default();
-        if let Some((w, e)) = s.write {
-            if e == epoch && w != agent {
-                self.record(GlobalHazard {
-                    kind: HazardKind::Waw,
-                    buf,
-                    idx,
-                    first: w,
-                    second: agent,
-                    epoch,
-                    pc,
-                });
-            }
+        let word = self.shadow.entry((buf, idx)).or_insert(Shadow::EMPTY);
+        let races = word.store(agent, self.epoch);
+        self.record(agent, buf, idx, races);
+    }
+
+    /// Record what an access by `agent` to `buf[idx]` raced with.
+    fn record(&mut self, agent: GlobalAgent, buf: u32, idx: u64, races: [Race<GlobalAgent>; 2]) {
+        for (kind, first) in races.into_iter().flatten() {
+            self.hazards.push(GlobalHazard {
+                kind,
+                buf,
+                idx,
+                first,
+                second: agent,
+                epoch: self.epoch,
+                pc: self.pc,
+            });
         }
-        if let Some((r, e)) = s.read {
-            if e == epoch {
-                let reader = if r != agent {
-                    Some(r)
-                } else {
-                    s.other_reader.filter(|&o| o != agent)
-                };
-                if let Some(first) = reader {
-                    self.record(GlobalHazard {
-                        kind: HazardKind::War,
-                        buf,
-                        idx,
-                        first,
-                        second: agent,
-                        epoch,
-                        pc,
-                    });
-                }
-            }
-        }
-        self.shadow.entry((buf, idx)).or_default().write = Some((agent, epoch));
     }
 }
 

@@ -476,23 +476,9 @@ impl GpuSystem {
         }
         let check = opts.wants_check() || launch.checked;
         self.validate_with(launch, check)?;
-        let mut engine = Engine::new(self, launch)
-            .with_check(check)
-            .with_profile(opts.wants_profile())
-            .with_faults(opts.fault_plan())
-            .with_watchdog(opts.watchdog_budget());
-        if let Some(cap) = opts.trace_cap() {
-            engine = engine.with_trace(cap);
-        }
-        let (report, trace, hazards, profile) = engine.run_full()?;
-        crate::stats::count_instrs(report.instrs_executed);
-        Ok(RunArtifacts {
-            report,
-            hazards: check.then_some(hazards),
-            trace: opts.trace_cap().map(|_| trace),
-            profile,
-            recovery: None,
-        })
+        let arts = Engine::new(self, launch, opts, check).run_full()?;
+        crate::stats::count_instrs(arts.report.instrs_executed);
+        Ok(arts)
     }
 
     fn validate_with(&self, launch: &GridLaunch, check: bool) -> SimResult<()> {

@@ -369,6 +369,43 @@ fn nanosleep_past_the_timeline_fails_the_launch() {
     }
 }
 
+/// One thread streams `2^log2` words of a synthetic buffer, stride 1, at
+/// full efficiency: the stream's byte count (8000 bytes per word before the
+/// efficiency divide) passes `u64::MAX` at 2^52 words, and its completion
+/// passes half the picosecond timeline at 2^53.
+#[test]
+fn memstream_past_the_timeline_fails_the_launch() {
+    let stream = |log2: u32| {
+        let n = 1u64 << log2;
+        let mut sys = GpuSystem::single(v100(1));
+        let data = sys.alloc_linear(0, 1.0, 0.0, n);
+        let mut b = KernelBuilder::new("long-stream");
+        let acc = b.reg();
+        b.push(Instr::MemStream {
+            acc,
+            buf: Param(0),
+            start: Imm(0),
+            stride: Imm(1),
+            len: Imm(n),
+            flops: 0,
+            eff_permille: 1000,
+        });
+        b.exit();
+        sys.run_plain(&GridLaunch::single(b.build(0), 1, 1, vec![data.0 as u64]))
+    };
+    let base = stream(51).unwrap().duration;
+    assert_eq!(base, sim_core::Ps(2_949_909_245_252_683_264));
+    assert_eq!(stream(52).unwrap().duration, sim_core::Ps(2 * base.0));
+    for log2 in [53, 60] {
+        let e = stream(log2);
+        assert!(
+            matches!(&e, Err(SimError::ProgramError(m))
+                if m.contains("long-stream") && m.contains("overflows the simulated clock")),
+            "2^{log2} words: {e:?}"
+        );
+    }
+}
+
 #[test]
 fn exit_in_divergent_branch_retires_lanes() {
     // Half the warp exits early; the other half keeps working.

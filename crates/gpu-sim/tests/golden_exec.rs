@@ -21,12 +21,17 @@
 //! value per warp with per-lane ones: a uniform counted loop around a
 //! per-lane accumulator, a uniform load added to `Tid`, a uniform value that
 //! a shuffle reads, a 48-thread multi-grid chain with a tail warp, and
-//! `GpuRank * WarpId` arithmetic on two GPUs. The last four pin global
+//! `GpuRank * WarpId` arithmetic on two GPUs. The next four pin global
 //! accesses by consecutive indices and a near miss: a store by `GlobalTid`
 //! into a buffer five words short of the grid, a load through a register
 //! column holding `GlobalTid + 7`, the same load through the reversed
 //! column `31 − LaneId`, and a warp split at lane 16 whose halves store by
-//! `LaneId` from different PCs.
+//! `LaneId` from different PCs. The last four pin the L2 atomic unit's lane
+//! loop: two warps whose lanes run every read-modify-write atomic on a
+//! buffer and word that differ across the warp, an `AtomicIAdd` and a
+//! `Signal` by `GlobalTid` into a buffer five words short of the grid (a
+//! load fault and a store fault), and a profiled `WaitGe` on per-lane flags
+//! that are already set.
 //!
 //! Any engine refactor — event queue, warp state layout, scheduling fast
 //! paths — must leave every line byte-identical: these numbers are the
@@ -40,7 +45,7 @@ use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, ShflKind, ShflMode, Special};
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{BufId, Buffer, GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
+use gpu_sim::{fimm, BufId, Buffer, GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
 use sim_core::Ps;
 use std::sync::Arc;
 
@@ -84,6 +89,10 @@ v100-store-gtid-5-short: error=MemoryFault 76b462e6c9da02ea
 v100-load-col-gtid-plus-7: duration=342226 instrs=16 warps=4 mem=7f6b078fe31fa482 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-load-col-reversed: duration=342226 instrs=16 warps=4 mem=e70d5cfe1dd47a02 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-split-halves-store: duration=46495 instrs=14 warps=2 mem=cdc05adad64aca25 trace=1fff11c385dc0b95 profile=669b18c6d2d9c95b
+v100-lane-atomics: duration=4525042 instrs=28 warps=2 mem=4b4ab357af1a0c01 trace=51f6cc4b3f06b688 profile=669b18c6d2d9c95b
+v100-iadd-gtid-5-short: error=MemoryFault f81a9fc98c52f3b7
+v100-signal-gtid-5-short: error=MemoryFault 76b462e6c9da02ea
+v100-wait-lane-flags-profiled: duration=1430369 instrs=8 warps=4 mem=daae756b97d6bf25 trace=669b18c6d2d9c95b profile=972b66864b22b789
 ";
 
 /// FNV-1a over a byte string: a stable digest for long artifacts.
@@ -514,6 +523,83 @@ fn split_halves_store() -> Kernel {
     b.build(0)
 }
 
+/// Each lane picks buffer `LaneId & 1` and word `LaneId >> 1` of it (read
+/// from buffer 2, see [`pair_words`]), runs `AtomicFAdd`, `AtomicIAdd`,
+/// `AtomicExch` and `AtomicCas` on that word, and stores the four old
+/// values to buffers 3–6 at `GlobalTid`. The exchange writes
+/// `LaneId + 100` and the CAS compares with that plus `LaneId & 1`, so only
+/// even lanes can win it. Every warp of the block hits the same 32 words.
+fn lane_atomics() -> Kernel {
+    let mut b = KernelBuilder::new("lane-atomics");
+    let odd = b.reg();
+    let buf = b.reg();
+    let word = b.reg();
+    let x = b.reg();
+    let cmp = b.reg();
+    let olds = [b.reg(), b.reg(), b.reg(), b.reg()];
+    b.push(Instr::IAnd(odd, Sp(Special::LaneId), Imm(1)));
+    b.iadd(buf, Param(0), Reg(odd));
+    b.push(Instr::LdGlobal {
+        dst: word,
+        buf: Param(2),
+        idx: Sp(Special::LaneId),
+    });
+    b.push(Instr::AtomicFAdd {
+        dst_old: Some(olds[0]),
+        buf: Reg(buf),
+        idx: Reg(word),
+        val: fimm(0.25),
+    });
+    b.push(Instr::AtomicIAdd {
+        dst_old: Some(olds[1]),
+        buf: Reg(buf),
+        idx: Reg(word),
+        val: Sp(Special::GlobalTid),
+    });
+    b.iadd(x, Sp(Special::LaneId), Imm(100));
+    b.push(Instr::AtomicExch {
+        dst_old: Some(olds[2]),
+        buf: Reg(buf),
+        idx: Reg(word),
+        val: Reg(x),
+    });
+    b.iadd(cmp, Reg(x), Reg(odd));
+    b.push(Instr::AtomicCas {
+        dst_old: Some(olds[3]),
+        buf: Reg(buf),
+        idx: Reg(word),
+        cmp: Reg(cmp),
+        val: Sp(Special::GlobalTid),
+    });
+    for (k, &old) in (3..).zip(&olds) {
+        b.push(Instr::StGlobal {
+            buf: Param(k),
+            idx: Sp(Special::GlobalTid),
+            val: Reg(old),
+        });
+    }
+    b.exit();
+    b.build(0)
+}
+
+/// One instruction, `instr`, then exit.
+fn just(name: &str, instr: Instr) -> Kernel {
+    let mut b = KernelBuilder::new(name);
+    b.push(instr);
+    b.exit();
+    b.build(0)
+}
+
+/// Buffer 2 holds `i >> 1` at word `i` (the ISA has no shift); every other
+/// buffer holds [`f64_words`].
+fn pair_words(id: u32, i: u64) -> u64 {
+    if id == 2 {
+        i >> 1
+    } else {
+        f64_words(id, i)
+    }
+}
+
 /// f64 words whose sums round differently in a different order.
 fn f64_words(id: u32, i: u64) -> u64 {
     ((id + 1) as f64 * 0.3 + i as f64 * 0.1).to_bits()
@@ -909,13 +995,77 @@ fn cases() -> Vec<Case> {
         },
         single(
             "v100-split-halves-store",
-            sms(v100, 1),
+            sms(v100.clone(), 1),
             split_halves_store(),
             1,
             64,
             vec![32],
             traced(),
         ),
+        Case {
+            init: Some(pair_words),
+            ..single(
+                "v100-lane-atomics",
+                sms(v100.clone(), 1),
+                lane_atomics(),
+                1,
+                64,
+                vec![16, 16, 32, 64, 64, 64, 64],
+                traced(),
+            )
+        },
+        single(
+            "v100-iadd-gtid-5-short",
+            sms(v100.clone(), 1),
+            just(
+                "iadd-gtid",
+                Instr::AtomicIAdd {
+                    dst_old: None,
+                    buf: Param(0),
+                    idx: Sp(Special::GlobalTid),
+                    val: Imm(1),
+                },
+            ),
+            2,
+            64,
+            vec![2 * 64 - 5],
+            new(),
+        ),
+        single(
+            "v100-signal-gtid-5-short",
+            sms(v100.clone(), 1),
+            just(
+                "signal-gtid",
+                Instr::Signal {
+                    buf: Param(0),
+                    idx: Sp(Special::GlobalTid),
+                    val: Imm(1),
+                },
+            ),
+            2,
+            64,
+            vec![2 * 64 - 5],
+            new(),
+        ),
+        Case {
+            init: Some(int_words),
+            ..single(
+                "v100-wait-lane-flags-profiled",
+                sms(v100, 1),
+                just(
+                    "wait-lane-flags",
+                    Instr::WaitGe {
+                        buf: Param(0),
+                        idx: Sp(Special::GlobalTid),
+                        target: Sp(Special::GlobalTid),
+                    },
+                ),
+                2,
+                64,
+                vec![2 * 64],
+                new().profile(),
+            )
+        },
     ]
 }
 

@@ -23,9 +23,9 @@
 use crate::small_arch;
 use gpu_sim::kernels;
 use gpu_sim::verify::{check_launch, Severity};
-use gpu_sim::{GpuSystem, GridLaunch, Kernel, RunOptions};
+use gpu_sim::{GpuSystem, GridLaunch, Kernel, RunArtifacts, RunOptions};
 use serde::{Deserialize, Serialize};
-use sim_core::{Ps, SimError};
+use sim_core::{Ps, SimError, SimResult};
 
 /// Watchdog budget for corpus runs: comfortably above the longest
 /// deliberate `nanosleep` in any corpus kernel (50 µs), far below the
@@ -446,6 +446,28 @@ fn permille(num: u32, den: u32) -> u32 {
     (num * 1000).checked_div(den).unwrap_or(1000)
 }
 
+/// Run `kernel` as case `c` on a fresh small system, with zeroed
+/// `[out, cells]` buffers bound as params 0 and 1, the watchdog armed, and
+/// the racechecks armed when `check` is set.
+fn run_case(c: &CorpusCase, kernel: &Kernel, check: bool) -> SimResult<RunArtifacts> {
+    let mut sys = GpuSystem::single(small_arch());
+    let out = sys.alloc(0, c.grid as u64);
+    let cells = sys.alloc(0, c.cells);
+    let launch = GridLaunch::single(
+        kernel.clone(),
+        c.grid,
+        32,
+        vec![out.0 as u64, cells.0 as u64],
+    );
+    let launch = if c.cooperative {
+        launch.cooperative()
+    } else {
+        launch
+    };
+    let opts = RunOptions::new().watchdog(Ps::from_ns(WATCHDOG_BUDGET_NS));
+    sys.execute(&launch, &if check { opts.check() } else { opts })
+}
+
 fn score_case(c: &CorpusCase) -> CaseResult {
     let kernel = (c.kernel)();
     let mut detected: Vec<&str> = Vec::new();
@@ -463,26 +485,7 @@ fn score_case(c: &CorpusCase) -> CaseResult {
     // Dynamic passes: one checked, watchdog-armed run. Kernels the static
     // gate refuses get an unchecked fallback run so the watchdog/deadlock
     // detectors are still scored (the racechecks need the checked engine).
-    let budget = Ps::from_ns(WATCHDOG_BUDGET_NS);
-    let launch_of = |sys: &mut GpuSystem| -> GridLaunch {
-        let out = sys.alloc(0, c.grid as u64);
-        let cells = sys.alloc(0, c.cells);
-        let l = GridLaunch::single(
-            kernel.clone(),
-            c.grid,
-            32,
-            vec![out.0 as u64, cells.0 as u64],
-        );
-        if c.cooperative {
-            l.cooperative()
-        } else {
-            l
-        }
-    };
-    let mut sys = GpuSystem::single(small_arch());
-    let launch = launch_of(&mut sys);
-    let checked = sys.execute(&launch, &RunOptions::new().check().watchdog(budget));
-    let outcome = match checked {
+    let outcome = match run_case(c, &kernel, true) {
         Ok(arts) => {
             let hz = arts.hazards.expect("checking was armed");
             if !hz.records.is_empty() || hz.dropped > 0 {
@@ -501,22 +504,18 @@ fn score_case(c: &CorpusCase) -> CaseResult {
             detected.push("deadlock");
             "deadlock".to_string()
         }
-        Err(SimError::InvalidLaunch(_)) => {
-            let mut sys = GpuSystem::single(small_arch());
-            let launch = launch_of(&mut sys);
-            match sys.execute(&launch, &RunOptions::new().watchdog(budget)) {
-                Ok(_) => "rejected-static (fallback ran)".to_string(),
-                Err(SimError::Watchdog { .. }) => {
-                    detected.push("watchdog");
-                    "rejected-static (fallback watchdog)".to_string()
-                }
-                Err(SimError::Deadlock { .. }) => {
-                    detected.push("deadlock");
-                    "rejected-static (fallback deadlock)".to_string()
-                }
-                Err(e) => format!("rejected-static (fallback error: {e})"),
+        Err(SimError::InvalidLaunch(_)) => match run_case(c, &kernel, false) {
+            Ok(_) => "rejected-static (fallback ran)".to_string(),
+            Err(SimError::Watchdog { .. }) => {
+                detected.push("watchdog");
+                "rejected-static (fallback watchdog)".to_string()
             }
-        }
+            Err(SimError::Deadlock { .. }) => {
+                detected.push("deadlock");
+                "rejected-static (fallback deadlock)".to_string()
+            }
+            Err(e) => format!("rejected-static (fallback error: {e})"),
+        },
         Err(e) => format!("error: {e}"),
     };
     // Report in PASSES order whatever the detection order was.
@@ -790,6 +789,81 @@ mod tests {
         let back = Scorecard::from_json(&a.to_json()).unwrap();
         assert_eq!(back, a);
         assert_eq!(a.render(), b.render());
+    }
+
+    /// FNV-1a over a byte string.
+    fn digest(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The scorecard keeps only which passes fired. This pins what the
+    /// racechecks report in each case's checked scoring run: the number of
+    /// records, the number dropped past the cap, and a digest of the whole
+    /// `HazardReport` (agents, epochs, addresses, PCs), or of the error the
+    /// run ended in.
+    #[test]
+    fn hazard_reports_are_pinned() {
+        const PINNED: &str = "\
+bug-aba-barrier-reset: records=3 dropped=0 33dd0a352289cd80
+bug-aba-plain-lock: records=10 dropped=0 92c965d7482f169e
+bug-bd-barrier-divergent-loop: error=InvalidLaunch b1267478b0eab601
+bug-bd-divergent-barrier: error=InvalidLaunch af9bdefd497802a0
+bug-bd-grid-sync-divergent: error=InvalidLaunch 9ebfd9a0ba8a6f48
+bug-cbr-rmw-counter: records=7 dropped=0 245ade253045c416
+bug-cbr-strided-overlap: records=64 dropped=60 3c3e10925f372c6e
+bug-cbr-waw-broadcast: records=3 dropped=0 b3dd098d002d06cf
+bug-lm-double-unlock: error=InvalidLaunch 8f9f19ba1b5b7ba3
+bug-lm-inconsistent-lockset: records=1 dropped=0 ce4fea718a204597
+bug-lm-leak-one-path: error=InvalidLaunch 022fce5cbd9eab83
+bug-lm-lock-leak: error=InvalidLaunch 34ee2c7fd466389c
+bug-lv-circular-wait: error=Watchdog 26f1d45e8b6caee1
+bug-lv-insufficient-signal: error=Watchdog ccb6173f0da8b974
+bug-lv-lost-signal: error=Watchdog 82edd2e2406b93bf
+bug-mf-broadcast-no-sync: records=12 dropped=0 1e7ee18f6890d32a
+bug-mf-plain-flag-handoff: records=3 dropped=0 cac11d1ddd9b3183
+bug-mf-read-no-wait: records=1 dropped=0 16f4f45045ad9b55
+bug-sbi-partial-init: records=1 dropped=0 2db57a351560baf2
+bug-sbi-signal-before-store: records=1 dropped=0 5e60d3b18e0833a8
+clean-aba-cas-lock: records=0 dropped=0 09a7a5ded1d6eda6
+clean-aba-spin-barrier: records=0 dropped=0 09a7a5ded1d6eda6
+clean-bd-block-uniform-barrier: records=0 dropped=0 09a7a5ded1d6eda6
+clean-bd-uniform-loop-barrier: records=0 dropped=0 09a7a5ded1d6eda6
+clean-cbr-atomic-counter: records=0 dropped=0 09a7a5ded1d6eda6
+clean-cbr-disjoint-slots: records=0 dropped=0 09a7a5ded1d6eda6
+clean-lm-conditional-release: records=0 dropped=0 09a7a5ded1d6eda6
+clean-lm-mutex-chain: records=0 dropped=0 09a7a5ded1d6eda6
+clean-lv-flag-pingpong: records=0 dropped=0 09a7a5ded1d6eda6
+clean-lv-semaphore: records=0 dropped=0 09a7a5ded1d6eda6
+clean-mf-signal-handoff: records=0 dropped=0 09a7a5ded1d6eda6
+clean-sbi-store-then-signal: records=0 dropped=0 09a7a5ded1d6eda6
+";
+        let actual: String = corpus()
+            .iter()
+            .map(|c| match run_case(c, &(c.kernel)(), true) {
+                Ok(arts) => {
+                    let hz = arts.hazards.expect("checking was armed");
+                    format!(
+                        "{}: records={} dropped={} {:016x}\n",
+                        c.name,
+                        hz.total(),
+                        hz.dropped + hz.global_dropped,
+                        digest(format!("{hz:?}").as_bytes())
+                    )
+                }
+                Err(e) => {
+                    let text = format!("{e:?}");
+                    let kind = text.split([' ', '{', '(']).next().unwrap_or_default();
+                    format!(
+                        "{}: error={kind} {:016x}\n",
+                        c.name,
+                        digest(text.as_bytes())
+                    )
+                }
+            })
+            .collect();
+        assert_eq!(actual, PINNED);
     }
 
     #[test]
