@@ -7,13 +7,13 @@
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::SyncOp;
-use gpu_sim::{GpuSystem, GridLaunch, KernelBuilder, LaunchKind, RunOptions};
+use gpu_sim::{GpuSystem, GridLaunch, KernelBuilder, RunOptions};
 use perf_model::ConfigModel;
 use sim_core::SimError;
 use sync_micro::report::{fmt, TextTable};
 use sync_micro::{
     block_sync, grid_sync, inter_sm, launch_overhead, measure, multi_gpu, multi_grid, shared_mem,
-    summary, sweep, warp_probe, warp_sync,
+    summary, warp_probe, warp_sync,
 };
 
 /// Table I: launch overhead and null-kernel total latency (V100 platform —
@@ -242,19 +242,8 @@ pub fn figure15() -> String {
             .iter()
             .map(|m| sync_micro::plot::Series::new(m.name(), Vec::new()))
             .collect();
-        // Every (size × method) point is an independent simulation: run the
-        // whole grid as one sweep, then fill the table rows in input order.
         let nmethods = reduction::DeviceReduceMethod::ALL.len();
-        let mut points = Vec::new();
-        for &mb in sizes {
-            for m in reduction::DeviceReduceMethod::ALL {
-                points.push((mb, m));
-            }
-        }
-        let samples = sweep::Sweep::new().run(points, |(mb, m)| {
-            let n = (mb * 1e6 / 8.0) as u64;
-            reduction::measure_device_reduce(&arch, m, n).expect("fig15")
-        });
+        let samples = reduction::figure15(&arch, sizes).expect("fig15");
         for (ri, &mb) in sizes.iter().enumerate() {
             let mut row = vec![fmt(mb)];
             for (mi, smp) in samples[ri * nmethods..(ri + 1) * nmethods]
@@ -455,15 +444,7 @@ pub fn deadlocks() -> String {
         b.multi_grid_sync();
         b.label("out");
         b.exit();
-        let launch = GridLaunch {
-            kernel: b.build(0),
-            grid_dim: 2,
-            block_dim: 32,
-            kind: LaunchKind::CooperativeMultiDevice,
-            devices: vec![0, 1],
-            params: vec![vec![], vec![]],
-            checked: false,
-        };
+        let launch = GridLaunch::multi(b.build(0), 2, 32, vec![0, 1], vec![vec![], vec![]]);
         let r =
             GpuSystem::new(arch, NodeTopology::dgx1_v100()).execute(&launch, &RunOptions::new());
         t.row(vec![

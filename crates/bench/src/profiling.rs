@@ -17,9 +17,10 @@
 
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
-use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{export_chrome_trace, GpuSystem, GridLaunch, LaunchKind, ProfileReport, RunOptions};
+use gpu_sim::kernels::SyncOp;
+use gpu_sim::{export_chrome_trace, ProfileReport, RunOptions};
 use sim_core::SimResult;
+use sync_micro::measure::{self, Placement};
 use sync_micro::sync_micro as fine_sync;
 use sync_micro::{grid_sync, launch_overhead, multi_gpu};
 
@@ -77,33 +78,14 @@ fn profile_arch() -> GpuArch {
 /// and export it as Chrome-trace JSON. Serial, so byte-deterministic.
 fn representative_trace(
     arch: &GpuArch,
-    topology: NodeTopology,
+    placement: &Placement,
     op: SyncOp,
-    devices: &[usize],
     blocks_per_device: u32,
     threads: u32,
 ) -> SimResult<String> {
-    let mut sys = GpuSystem::new(arch.clone(), topology);
-    let words = (blocks_per_device as u64) * (threads as u64);
-    let params: Vec<Vec<u64>> = devices
-        .iter()
-        .map(|&d| vec![sys.alloc(d, words).0 as u64])
-        .collect();
-    let kind = match op {
-        SyncOp::Grid => LaunchKind::Cooperative,
-        SyncOp::MultiGrid => LaunchKind::CooperativeMultiDevice,
-        _ => LaunchKind::Traditional,
-    };
-    let launch = GridLaunch {
-        kernel: kernels::sync_chain(op, 4),
-        grid_dim: blocks_per_device,
-        block_dim: threads,
-        kind,
-        devices: devices.to_vec(),
-        params,
-        checked: false,
-    };
-    let arts = sys.execute(&launch, &RunOptions::new().trace(100_000).profile())?;
+    let opts = RunOptions::new().trace(100_000).profile();
+    let (_, arts) =
+        measure::sync_chain_run(arch, placement, op, 4, blocks_per_device, threads, &opts)?;
     Ok(export_chrome_trace(
         &arts.trace.expect("tracing was armed"),
         arts.profile.as_ref(),
@@ -126,9 +108,8 @@ fn grid_sync_profile() -> SimResult<ProfileRun> {
     let (map, report) = grid_sync::figure5_profiled(&arch)?;
     let trace = representative_trace(
         &arch,
-        NodeTopology::single(),
+        &Placement::single(),
         SyncOp::Grid,
-        &[0],
         2 * arch.num_sms,
         128,
     )?;
@@ -143,9 +124,8 @@ fn figure9_profile() -> SimResult<ProfileRun> {
     let (points, report) = multi_gpu::figure9_profiled(&arch, &topology, &[2, 4])?;
     let trace = representative_trace(
         &arch,
-        topology,
+        &Placement::multi(topology, 4),
         SyncOp::MultiGrid,
-        &[0, 1, 2, 3],
         arch.num_sms,
         128,
     )?;
@@ -163,9 +143,8 @@ fn table1_profile() -> SimResult<ProfileRun> {
     let (rows, report) = launch_overhead::table1_profiled(&arch)?;
     let trace = representative_trace(
         &arch,
-        NodeTopology::single(),
+        &Placement::single(),
         SyncOp::Block,
-        &[0],
         arch.num_sms,
         128,
     )?;

@@ -20,7 +20,7 @@ pub struct HeatMap {
     pub title: String,
     pub blocks_per_sm: Vec<u32>,
     pub threads_per_block: Vec<u32>,
-    /// `cells[i][j]`: blocks_per_sm[i] × threads_per_block[j] → µs.
+    /// `cells[i][j]`: `blocks_per_sm[i]` × `threads_per_block[j]` → µs.
     pub cells: Vec<Vec<Option<f64>>>,
 }
 
@@ -174,16 +174,13 @@ fn heatmap_with(
             )?;
             Ok((cycles_to_us(arch, m.cycles_per_op), arts.profile))
         })?;
-    let mut profile = opts
-        .wants_profile()
-        .then(|| ProfileReport::empty(arch.clock().ps_per_cycle()));
-    let mut values = Vec::with_capacity(cells.len());
-    for (v, p) in cells {
-        values.push(v);
-        if let (Some(acc), Some(p)) = (&mut profile, p) {
-            acc.merge(&p);
-        }
-    }
+    let profile = opts.wants_profile().then(|| {
+        ProfileReport::merged(
+            arch.clock().ps_per_cycle(),
+            cells.iter().flat_map(|(_, p)| p),
+        )
+    });
+    let values = cells.into_iter().map(|(v, _)| v).collect();
     Ok((assemble_heatmap(title, &plan, values), profile))
 }
 

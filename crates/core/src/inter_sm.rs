@@ -11,7 +11,7 @@ use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{GpuSystem, GridLaunch, Kernel, LaunchKind, RunOptions};
+use gpu_sim::{GpuSystem, GridLaunch, RunOptions};
 use serde::Serialize;
 use sim_core::{propagate_difference_quotient, OnlineStats, SimResult};
 
@@ -25,19 +25,6 @@ pub struct InterSmMeasurement {
     pub r1: u64,
     pub r2: u64,
     pub trials: u32,
-}
-
-/// Build an unclocked kernel repeating `op` `reps` times.
-fn burst(op: SyncOp, reps: usize) -> Kernel {
-    kernels::sync_throughput(op, reps)
-}
-
-fn kind_for(op: SyncOp) -> LaunchKind {
-    match op {
-        SyncOp::Grid => LaunchKind::Cooperative,
-        SyncOp::MultiGrid => LaunchKind::CooperativeMultiDevice,
-        _ => LaunchKind::Traditional,
-    }
 }
 
 /// Time `trials` isolated launch+sync runs of a kernel; return host-clock
@@ -85,10 +72,10 @@ pub fn measure_inter_sm(
     let sys = GpuSystem::new(arch.clone(), topology);
     let mut h = HostSim::new(sys);
     let mk = |reps: u64| GridLaunch {
-        kernel: burst(op, reps as usize),
+        kernel: kernels::sync_throughput(op, reps as usize),
         grid_dim,
         block_dim,
-        kind: kind_for(op),
+        kind: op.launch_kind(),
         devices: devices.to_vec(),
         params: vec![vec![]; devices.len()],
         checked: false,

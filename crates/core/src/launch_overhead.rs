@@ -60,20 +60,13 @@ pub fn measure_launch_path_with(
     topology: impl Into<std::sync::Arc<NodeTopology>>,
     opts: &RunOptions,
 ) -> SimResult<(LaunchOverheadRow, Option<ProfileReport>)> {
+    let ps_per_cycle = arch.clock().ps_per_cycle();
     let mut arch = arch.clone();
     arch.num_sms = arch.num_sms.min(4); // null grids: SM count is irrelevant
     let sys = GpuSystem::new(arch, topology);
     let mut h = HostSim::new(sys).without_jitter();
     let reps = 5u32;
-    let mut profile: Option<ProfileReport> = None;
-    let mut merge = |p: Option<ProfileReport>| {
-        if let Some(p) = p {
-            match &mut profile {
-                Some(acc) => acc.merge(&p),
-                None => profile = Some(p),
-            }
-        }
-    };
+    let mut profiles: Vec<ProfileReport> = Vec::new();
 
     let short = make_launch(kind, kernels::sleep_kernel(sleep_ns), devices.to_vec());
     let long = make_launch(
@@ -88,32 +81,32 @@ pub fn measure_launch_path_with(
     };
 
     // Warm-up (its results are not reported — Fig. 3).
-    merge(h.launch(0, &short, opts)?.profile);
+    profiles.extend(h.launch(0, &short, opts)?.profile);
     sync(&mut h);
 
     // i launches of j-wait-unit kernels...
     let t0 = h.now(0);
     for _ in 0..reps {
-        merge(h.launch(0, &short, opts)?.profile);
+        profiles.extend(h.launch(0, &short, opts)?.profile);
     }
     sync(&mut h);
     let many = (h.now(0) - t0).as_ns();
 
     // ...versus one fused kernel (Eq. 6 denominator: i - j).
     let t1 = h.now(0);
-    merge(h.launch(0, &long, opts)?.profile);
+    profiles.extend(h.launch(0, &long, opts)?.profile);
     sync(&mut h);
     let one = (h.now(0) - t1).as_ns();
     let overhead_ns = (many - one) / (reps as f64 - 1.0);
 
     // Null-kernel total latency for comparison (Table I column 2).
     let null = make_launch(kind, kernels::null_kernel(), devices.to_vec());
-    merge(h.launch(0, &null, opts)?.profile);
+    profiles.extend(h.launch(0, &null, opts)?.profile);
     sync(&mut h);
     let t2 = h.now(0);
     let n = 8;
     for _ in 0..n {
-        merge(h.launch(0, &null, opts)?.profile);
+        profiles.extend(h.launch(0, &null, opts)?.profile);
         sync(&mut h);
     }
     let null_total_ns = (h.now(0) - t2).as_ns() / n as f64;
@@ -128,7 +121,8 @@ pub fn measure_launch_path_with(
             overhead_ns,
             null_total_ns,
         },
-        profile,
+        opts.wants_profile()
+            .then(|| ProfileReport::merged(ps_per_cycle, &profiles)),
     ))
 }
 
@@ -137,6 +131,20 @@ pub fn measure_launch_path_with(
 /// independent measurements, so they run as one sweep; the row order is the
 /// input order regardless of which finishes first.
 pub fn table1(arch: &GpuArch) -> SimResult<Vec<LaunchOverheadRow>> {
+    Ok(table1_with(arch, &RunOptions::new())?.0)
+}
+
+/// [`table1`] with syncprof armed: rows plus one merged profile per launch
+/// path, merged in row order so the bytes don't depend on `--jobs`.
+pub fn table1_profiled(arch: &GpuArch) -> SimResult<(Vec<LaunchOverheadRow>, ProfileReport)> {
+    let (rows, profile) = table1_with(arch, &RunOptions::new().profile())?;
+    Ok((rows, profile.expect("profiling was armed")))
+}
+
+fn table1_with(
+    arch: &GpuArch,
+    opts: &RunOptions,
+) -> SimResult<(Vec<LaunchOverheadRow>, Option<ProfileReport>)> {
     let sleep = 10_000; // 10 us, as in Fig. 3
     let paths = vec![
         (LaunchKind::Traditional, NodeTopology::single()),
@@ -146,40 +154,16 @@ pub fn table1(arch: &GpuArch) -> SimResult<Vec<LaunchOverheadRow>> {
             NodeTopology::dgx1_v100(),
         ),
     ];
-    crate::sweep::Sweep::new().try_run(paths, |(kind, topology)| {
-        measure_launch_path(arch, kind, sleep, &[0], topology)
-    })
-}
-
-/// [`table1`] with syncprof armed: rows plus one merged profile per launch
-/// path, merged in row order so the bytes don't depend on `--jobs`.
-pub fn table1_profiled(arch: &GpuArch) -> SimResult<(Vec<LaunchOverheadRow>, ProfileReport)> {
-    let sleep = 10_000;
-    let paths = vec![
-        (LaunchKind::Traditional, NodeTopology::single()),
-        (LaunchKind::Cooperative, NodeTopology::single()),
-        (
-            LaunchKind::CooperativeMultiDevice,
-            NodeTopology::dgx1_v100(),
-        ),
-    ];
     let cells = crate::sweep::Sweep::new().try_run(paths, |(kind, topology)| {
-        measure_launch_path_with(
-            arch,
-            kind,
-            sleep,
-            &[0],
-            topology,
-            &RunOptions::new().profile(),
-        )
+        measure_launch_path_with(arch, kind, sleep, &[0], topology, opts)
     })?;
-    let mut rows = Vec::with_capacity(cells.len());
-    let mut profile = ProfileReport::empty(arch.clock().ps_per_cycle());
-    for (row, p) in cells {
-        rows.push(row);
-        profile.merge(&p.expect("profiling was armed"));
-    }
-    Ok((rows, profile))
+    let profile = opts.wants_profile().then(|| {
+        ProfileReport::merged(
+            arch.clock().ps_per_cycle(),
+            cells.iter().flat_map(|(_, p)| p),
+        )
+    });
+    Ok((cells.into_iter().map(|(row, _)| row).collect(), profile))
 }
 
 /// §IX-B's warning demonstrated: running the fusion protocol with kernels

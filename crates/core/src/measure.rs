@@ -3,7 +3,7 @@
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{ExecReport, GpuSystem, GridLaunch, LaunchKind, RunArtifacts, RunOptions};
+use gpu_sim::{ExecReport, GpuSystem, GridLaunch, RunArtifacts, RunOptions};
 use sim_core::SimResult;
 use std::sync::Arc;
 
@@ -56,16 +56,11 @@ fn launch_for(
         .iter()
         .map(|&d| vec![sys.alloc(d, words).0 as u64])
         .collect();
-    let kind = match op {
-        SyncOp::Grid => LaunchKind::Cooperative,
-        SyncOp::MultiGrid => LaunchKind::CooperativeMultiDevice,
-        _ => LaunchKind::Traditional,
-    };
     GridLaunch {
         kernel,
         grid_dim,
         block_dim,
-        kind,
+        kind: op.launch_kind(),
         devices: devices.to_vec(),
         params,
         checked: false,

@@ -48,19 +48,11 @@ fn cpu_side_overhead_us(
     let threads: Vec<usize> = (0..n).collect();
     let kernel = kernels::sleep_kernel(SLEEP_NS);
     let steps = 6;
-    let mut profile: Option<ProfileReport> = None;
-    let merge = |acc: &mut Option<ProfileReport>, p: Option<ProfileReport>| {
-        if let Some(p) = p {
-            match acc {
-                Some(acc) => acc.merge(&p),
-                None => *acc = Some(p),
-            }
-        }
-    };
+    let mut profiles: Vec<ProfileReport> = Vec::new();
     // Warm-up step.
     for &t in &threads {
         let l = GridLaunch::single(kernel.clone(), 1, 32, vec![]).on_device(t);
-        merge(&mut profile, h.launch(t, &l, opts)?.profile);
+        profiles.extend(h.launch(t, &l, opts)?.profile);
         h.device_synchronize(t, t);
     }
     h.omp_barrier(&threads);
@@ -68,12 +60,15 @@ fn cpu_side_overhead_us(
     for _ in 0..steps {
         for &t in &threads {
             let l = GridLaunch::single(kernel.clone(), 1, 32, vec![]).on_device(t);
-            merge(&mut profile, h.launch(t, &l, opts)?.profile);
+            profiles.extend(h.launch(t, &l, opts)?.profile);
             h.device_synchronize(t, t);
         }
         h.omp_barrier(&threads);
     }
     let per_step = (h.now(0) - t0).as_us() / steps as f64;
+    let profile = opts
+        .wants_profile()
+        .then(|| ProfileReport::merged(arch.clock().ps_per_cycle(), &profiles));
     Ok((per_step - SLEEP_NS as f64 / 1e3, profile))
 }
 
@@ -168,19 +163,13 @@ fn figure9_with(
         Fig9Metric::CpuSide => cpu_side_overhead_us(arch, &topology, n, opts),
         Fig9Metric::Mgrid { bpsm, tpb } => mgrid_us(arch, &topology, n, bpsm, tpb, opts),
     })?;
-    let mut profile: Option<ProfileReport> = None;
-    let values: Vec<f64> = cells
-        .into_iter()
-        .map(|(v, p)| {
-            if let Some(p) = p {
-                match &mut profile {
-                    Some(acc) => acc.merge(&p),
-                    None => profile = Some(p),
-                }
-            }
-            v
-        })
-        .collect();
+    let profile = opts.wants_profile().then(|| {
+        ProfileReport::merged(
+            arch.clock().ps_per_cycle(),
+            cells.iter().flat_map(|(_, p)| p),
+        )
+    });
+    let values: Vec<f64> = cells.into_iter().map(|(v, _)| v).collect();
     let points = gpu_counts
         .iter()
         .zip(values.chunks(FIG9_METRICS.len()))

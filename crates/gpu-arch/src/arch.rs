@@ -80,7 +80,6 @@ impl GpuArch {
                 block_sync_arrival_cycles: 2.1,
                 global_atomic_latency: 1140,
                 l2_atomic_interval: 5.8,
-                l2_read_interval: 4.0,
                 poll_interval: 215,
                 grid_release_per_warp: 38.0,
                 mgrid_release_per_warp: 213.0,
@@ -158,7 +157,6 @@ impl GpuArch {
                 block_sync_arrival_cycles: 9.5,
                 global_atomic_latency: 1300,
                 l2_atomic_interval: 6.1,
-                l2_read_interval: 4.5,
                 poll_interval: 210,
                 grid_release_per_warp: 10.0,
                 mgrid_release_per_warp: 21.0,

@@ -97,10 +97,6 @@ pub struct TimingParams {
     /// atomics of a grid barrier, making grid-sync cost scale with the total
     /// number of blocks (Fig. 5).
     pub l2_atomic_interval: f64,
-    /// L2 read issue interval for the leaders' release-flag polling. Polling
-    /// traffic contends with arrival atomics, which is what bends Fig. 5
-    /// super-linear at high block counts.
-    pub l2_read_interval: f64,
     /// How often a spinning block leader polls the release flag.
     pub poll_interval: u64,
     /// Per-warp cost of releasing a grid barrier inside an SM.

@@ -1356,7 +1356,11 @@ impl<'a> Engine<'a> {
             }
         }
         self.last_issue_start = self.now;
-        match self.exec(w, group, min_pc, instr)? {
+        let step = match self.exec(w, group, min_pc, instr) {
+            Ok(step) => step,
+            Err(e) => return Err(self.locate_fault(w, min_pc, &instr, e)),
+        };
+        match step {
             Step::Ready(done) => {
                 let done = self.fault_scaled(w, done);
                 if self.prof.is_some() {
@@ -1381,6 +1385,25 @@ impl<'a> Engine<'a> {
                 Ok(None)
             }
         }
+    }
+
+    /// Prefix a memory fault with where it happened: the kernel, the pc and
+    /// its instruction, and the warp's rank, block and index. Other errors
+    /// pass unchanged.
+    #[cold]
+    fn locate_fault(&self, w: u32, pc: u32, instr: &Instr, e: SimError) -> SimError {
+        let SimError::MemoryFault(msg) = e else {
+            return e;
+        };
+        let warp = &self.warps[w as usize];
+        SimError::MemoryFault(format!(
+            "kernel {:?} pc {pc} `{}` (rank {} block {} warp {}): {msg}",
+            self.launch.kernel.name,
+            crate::disasm::instr_to_string(instr),
+            warp.rank,
+            self.blocks[warp.block as usize].block_on_device,
+            warp.warp_in_block,
+        ))
     }
 
     fn advance_pcs(&mut self, w: u32, mask: u32, from_pc: u32) {

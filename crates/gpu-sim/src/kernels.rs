@@ -10,55 +10,11 @@
 //! * [`stream_kernel`] — Fig. 10's grid-stride bandwidth loop.
 
 use crate::isa::{Instr, Kernel, KernelBuilder, Operand, ShflKind, ShflMode, Special};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use crate::system::LaunchKind;
 use Operand::{Imm, Param, Reg, Sp};
 
-/// Cache key for the interned parametric builders below. Two calls with the
-/// same key produce (by construction) identical programs, so the second call
-/// can clone the first's kernel instead of re-emitting and re-resolving it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum InternKey {
-    SyncChain(SyncOp, usize),
-    SyncThroughput(SyncOp, usize),
-    CoalescedChain(u32, usize),
-    CoalescedThroughput(u32, usize),
-    Fadd32Chain(usize),
-    Stream(u8, u16),
-    SmemStream(u32, u32),
-    MutexChain(usize),
-    SemaphoreChain(u32, usize),
-    SpinBarrierChain(usize),
-    FlagPingPong(usize),
-}
-
-/// Look up `key`, building and caching the kernel on first use.
-///
-/// Sweep drivers call the chain/throughput builders once per cell — hundreds
-/// of times with a handful of distinct parameter tuples — and emission
-/// (label resolution, name formatting) was a measurable slice of small-cell
-/// sweeps. The cache is process-wide and append-only; a clone of the cached
-/// kernel is byte-identical to a fresh build, so interning can never change
-/// simulation results.
-fn interned(key: InternKey, build: impl FnOnce() -> Kernel) -> Kernel {
-    static CACHE: OnceLock<Mutex<HashMap<InternKey, Kernel>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(k) = cache.lock().unwrap().get(&key) {
-        return k.clone();
-    }
-    // Built outside the lock: emission is pure, and a racing duplicate build
-    // just inserts the same kernel twice.
-    let kernel = build();
-    cache
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert_with(|| kernel.clone());
-    kernel
-}
-
 /// Which synchronization instruction a chain exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncOp {
     /// Tile-group sync of the given width.
     Tile(u32),
@@ -77,6 +33,17 @@ pub enum SyncOp {
 }
 
 impl SyncOp {
+    /// The launch API a chain of this op runs under (§IV): `grid.sync()`
+    /// needs a cooperative launch and `multi_grid.sync()` a multi-device
+    /// one; every other op runs in a traditional launch.
+    pub fn launch_kind(self) -> LaunchKind {
+        match self {
+            SyncOp::Grid => LaunchKind::Cooperative,
+            SyncOp::MultiGrid => LaunchKind::CooperativeMultiDevice,
+            _ => LaunchKind::Traditional,
+        }
+    }
+
     fn emit(self, b: &mut KernelBuilder, scratch: crate::isa::Reg) {
         match self {
             SyncOp::Tile(width) => {
@@ -162,36 +129,30 @@ pub fn chain_kernel(
 /// Dependent chain of FP32 adds — the reference instruction both of the
 /// paper's measurement methods must agree on (§IX-D).
 pub fn fadd32_chain(repeats: usize) -> Kernel {
-    interned(InternKey::Fadd32Chain(repeats), || {
-        chain_kernel("fadd32-chain", repeats, |b, acc| {
-            b.fadd32(acc, Reg(acc), crate::isa::fimm(1.0));
-        })
+    chain_kernel("fadd32-chain", repeats, |b, acc| {
+        b.fadd32(acc, Reg(acc), crate::isa::fimm(1.0));
     })
 }
 
 /// A chain of `repeats` synchronization ops with clock reads around it.
 /// Elapsed cycles stored to `param(0)[global_tid]`.
 pub fn sync_chain(op: SyncOp, repeats: usize) -> Kernel {
-    interned(InternKey::SyncChain(op, repeats), || {
-        chain_kernel(&format!("sync-chain-{op:?}"), repeats, |b, acc| {
-            op.emit(b, acc);
-        })
+    chain_kernel(&format!("sync-chain-{op:?}"), repeats, |b, acc| {
+        op.emit(b, acc);
     })
 }
 
 /// A chain of `repeats` synchronization ops with no timing reads — used for
 /// throughput sweeps where the host measures kernel duration.
 pub fn sync_throughput(op: SyncOp, repeats: usize) -> Kernel {
-    interned(InternKey::SyncThroughput(op, repeats), || {
-        let mut b = KernelBuilder::new(&format!("sync-thr-{op:?}"));
-        let acc = b.reg();
-        b.mov(acc, crate::isa::fimm(1.0));
-        for _ in 0..repeats {
-            op.emit(&mut b, acc);
-        }
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new(&format!("sync-thr-{op:?}"));
+    let acc = b.reg();
+    b.mov(acc, crate::isa::fimm(1.0));
+    for _ in 0..repeats {
+        op.emit(&mut b, acc);
+    }
+    b.exit();
+    b.build(0)
 }
 
 /// Table II "Coalesced(1–31)": lanes below `k` form a partial coalesced
@@ -199,12 +160,6 @@ pub fn sync_throughput(op: SyncOp, repeats: usize) -> Kernel {
 /// its elapsed cycles to `param(0)[0]`.
 pub fn coalesced_partial_chain(k: u32, repeats: usize) -> Kernel {
     assert!((1..=32).contains(&k));
-    interned(InternKey::CoalescedChain(k, repeats), || {
-        coalesced_partial_chain_uncached(k, repeats)
-    })
-}
-
-fn coalesced_partial_chain_uncached(k: u32, repeats: usize) -> Kernel {
     let mut b = KernelBuilder::new("coalesced-partial");
     let c = b.reg();
     let t0 = b.reg();
@@ -231,18 +186,16 @@ fn coalesced_partial_chain_uncached(k: u32, repeats: usize) -> Kernel {
 /// every warp sync `repeats` times, no clocks (host-timed sweeps).
 pub fn coalesced_partial_throughput(k: u32, repeats: usize) -> Kernel {
     assert!((1..=32).contains(&k));
-    interned(InternKey::CoalescedThroughput(k, repeats), || {
-        let mut b = KernelBuilder::new("coalesced-partial-thr");
-        let c = b.reg();
-        b.cmp_lt(c, Sp(Special::LaneId), Imm(k as u64));
-        b.bra_ifz(Reg(c), "out");
-        for _ in 0..repeats {
-            b.push(Instr::SyncCoalesced);
-        }
-        b.label("out");
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new("coalesced-partial-thr");
+    let c = b.reg();
+    b.cmp_lt(c, Sp(Special::LaneId), Imm(k as u64));
+    b.bra_ifz(Reg(c), "out");
+    for _ in 0..repeats {
+        b.push(Instr::SyncCoalesced);
+    }
+    b.label("out");
+    b.exit();
+    b.build(0)
 }
 
 /// Fig. 17: every lane takes its own branch arm, records a start clock,
@@ -298,12 +251,6 @@ pub fn stream_kernel(flops: u8) -> Kernel {
 
 /// [`stream_kernel`] with an explicit streaming-efficiency (permille).
 pub fn stream_kernel_eff(flops: u8, eff_permille: u16) -> Kernel {
-    interned(InternKey::Stream(flops, eff_permille), || {
-        stream_kernel_eff_uncached(flops, eff_permille)
-    })
-}
-
-fn stream_kernel_eff_uncached(flops: u8, eff_permille: u16) -> Kernel {
     let mut b = KernelBuilder::new("stream");
     let acc = b.reg();
     let start = b.reg();
@@ -336,12 +283,6 @@ fn stream_kernel_eff_uncached(flops: u8, eff_permille: u16) -> Kernel {
 /// each stream `per_thread_iters` words of shared memory (stride =
 /// `threads_live`), then store their partials to `param(0)[tid]`.
 pub fn smem_stream_kernel(shared_words: u32, threads_live: u32) -> Kernel {
-    interned(InternKey::SmemStream(shared_words, threads_live), || {
-        smem_stream_kernel_uncached(shared_words, threads_live)
-    })
-}
-
-fn smem_stream_kernel_uncached(shared_words: u32, threads_live: u32) -> Kernel {
     let mut b = KernelBuilder::new("smem-stream");
     let acc = b.reg();
     let c = b.reg();
@@ -379,33 +320,31 @@ fn smem_stream_kernel_uncached(shared_words: u32, threads_live: u32) -> Kernel {
 /// transient, and the PR-5 watchdog still catches a holder that never
 /// releases.
 pub fn mutex_chain(repeats: usize) -> Kernel {
-    interned(InternKey::MutexChain(repeats), || {
-        let mut b = KernelBuilder::new("mutex-chain");
-        let c = b.reg();
-        let old = b.reg();
-        let t0 = b.reg();
-        let t1 = b.reg();
-        b.cmp_eq(c, Sp(Special::Tid), Imm(0));
-        b.bra_ifz(Reg(c), "out");
-        b.read_clock(t0);
-        for i in 0..repeats {
-            b.label(&format!("acq{i}"));
-            b.atomic_cas(Some(old), Param(1), Imm(0), Imm(0), Imm(1));
-            // Non-zero old value: someone held the lock — retry.
-            b.bra_if(Reg(old), &format!("acq{i}"));
-            b.atomic_exch(None, Param(1), Imm(0), Imm(0));
-        }
-        b.read_clock(t1);
-        b.isub(t1, Reg(t1), Reg(t0));
-        b.push(Instr::StGlobal {
-            buf: Param(0),
-            idx: Sp(Special::BlockId),
-            val: Reg(t1),
-        });
-        b.label("out");
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new("mutex-chain");
+    let c = b.reg();
+    let old = b.reg();
+    let t0 = b.reg();
+    let t1 = b.reg();
+    b.cmp_eq(c, Sp(Special::Tid), Imm(0));
+    b.bra_ifz(Reg(c), "out");
+    b.read_clock(t0);
+    for i in 0..repeats {
+        b.label(&format!("acq{i}"));
+        b.atomic_cas(Some(old), Param(1), Imm(0), Imm(0), Imm(1));
+        // Non-zero old value: someone held the lock — retry.
+        b.bra_if(Reg(old), &format!("acq{i}"));
+        b.atomic_exch(None, Param(1), Imm(0), Imm(0));
+    }
+    b.read_clock(t1);
+    b.isub(t1, Reg(t1), Reg(t0));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::BlockId),
+        val: Reg(t1),
+    });
+    b.label("out");
+    b.exit();
+    b.build(0)
 }
 
 /// Ticket-based counting semaphore chain: thread 0 of each block acquires
@@ -415,38 +354,36 @@ pub fn mutex_chain(repeats: usize) -> Kernel {
 /// ticket/release pair never resets. Elapsed cycles → `param(0)[block_id]`.
 pub fn semaphore_chain(permits: u32, repeats: usize) -> Kernel {
     assert!(permits >= 1);
-    interned(InternKey::SemaphoreChain(permits, repeats), || {
-        let mut b = KernelBuilder::new("semaphore-chain");
-        let c = b.reg();
-        let my = b.reg();
-        let need = b.reg();
-        let t0 = b.reg();
-        let t1 = b.reg();
-        b.cmp_eq(c, Sp(Special::Tid), Imm(0));
-        b.bra_ifz(Reg(c), "out");
-        b.read_clock(t0);
-        for i in 0..repeats {
-            b.atomic_iadd(Some(my), Param(1), Imm(0), Imm(1));
-            b.cmp_lt(c, Reg(my), Imm(permits as u64));
-            b.bra_if(Reg(c), &format!("got{i}"));
-            // Ticket `my` waits until `my + 1 - permits` releases happened.
-            b.iadd(need, Reg(my), Imm(1));
-            b.isub(need, Reg(need), Imm(permits as u64));
-            b.wait_ge(Param(1), Imm(1), Reg(need));
-            b.label(&format!("got{i}"));
-            b.atomic_iadd(None, Param(1), Imm(1), Imm(1));
-        }
-        b.read_clock(t1);
-        b.isub(t1, Reg(t1), Reg(t0));
-        b.push(Instr::StGlobal {
-            buf: Param(0),
-            idx: Sp(Special::BlockId),
-            val: Reg(t1),
-        });
-        b.label("out");
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new("semaphore-chain");
+    let c = b.reg();
+    let my = b.reg();
+    let need = b.reg();
+    let t0 = b.reg();
+    let t1 = b.reg();
+    b.cmp_eq(c, Sp(Special::Tid), Imm(0));
+    b.bra_ifz(Reg(c), "out");
+    b.read_clock(t0);
+    for i in 0..repeats {
+        b.atomic_iadd(Some(my), Param(1), Imm(0), Imm(1));
+        b.cmp_lt(c, Reg(my), Imm(permits as u64));
+        b.bra_if(Reg(c), &format!("got{i}"));
+        // Ticket `my` waits until `my + 1 - permits` releases happened.
+        b.iadd(need, Reg(my), Imm(1));
+        b.isub(need, Reg(need), Imm(permits as u64));
+        b.wait_ge(Param(1), Imm(1), Reg(need));
+        b.label(&format!("got{i}"));
+        b.atomic_iadd(None, Param(1), Imm(1), Imm(1));
+    }
+    b.read_clock(t1);
+    b.isub(t1, Reg(t1), Reg(t0));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::BlockId),
+        val: Reg(t1),
+    });
+    b.label("out");
+    b.exit();
+    b.build(0)
 }
 
 /// Centralized sense-reversing spin-barrier chain across block
@@ -459,35 +396,33 @@ pub fn semaphore_chain(permits: u32, repeats: usize) -> Kernel {
 /// reads; elapsed cycles → `param(0)[block_id]`.
 pub fn spin_barrier_chain(repeats: usize) -> Kernel {
     assert!(repeats >= 1);
-    interned(InternKey::SpinBarrierChain(repeats), || {
-        let mut b = KernelBuilder::new("spin-barrier-chain");
-        let c = b.reg();
-        let r = b.reg();
-        let tgt = b.reg();
-        let t0 = b.reg();
-        let t1 = b.reg();
-        b.cmp_eq(c, Sp(Special::Tid), Imm(0));
-        b.bra_ifz(Reg(c), "out");
-        b.mov(r, Imm(0));
-        b.read_clock(t0);
-        b.label("round");
-        b.iadd(r, Reg(r), Imm(1));
-        b.atomic_iadd(None, Param(1), Imm(0), Imm(1));
-        b.imul(tgt, Reg(r), Sp(Special::GridDim));
-        b.wait_ge(Param(1), Imm(0), Reg(tgt));
-        b.cmp_lt(c, Reg(r), Imm(repeats as u64));
-        b.bra_if(Reg(c), "round");
-        b.read_clock(t1);
-        b.isub(t1, Reg(t1), Reg(t0));
-        b.push(Instr::StGlobal {
-            buf: Param(0),
-            idx: Sp(Special::BlockId),
-            val: Reg(t1),
-        });
-        b.label("out");
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new("spin-barrier-chain");
+    let c = b.reg();
+    let r = b.reg();
+    let tgt = b.reg();
+    let t0 = b.reg();
+    let t1 = b.reg();
+    b.cmp_eq(c, Sp(Special::Tid), Imm(0));
+    b.bra_ifz(Reg(c), "out");
+    b.mov(r, Imm(0));
+    b.read_clock(t0);
+    b.label("round");
+    b.iadd(r, Reg(r), Imm(1));
+    b.atomic_iadd(None, Param(1), Imm(0), Imm(1));
+    b.imul(tgt, Reg(r), Sp(Special::GridDim));
+    b.wait_ge(Param(1), Imm(0), Reg(tgt));
+    b.cmp_lt(c, Reg(r), Imm(repeats as u64));
+    b.bra_if(Reg(c), "round");
+    b.read_clock(t1);
+    b.isub(t1, Reg(t1), Reg(t0));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::BlockId),
+        val: Reg(t1),
+    });
+    b.label("out");
+    b.exit();
+    b.build(0)
 }
 
 /// Tile-ready flag handoff: blocks 0 and 1 ping-pong through two flag
@@ -498,40 +433,38 @@ pub fn spin_barrier_chain(repeats: usize) -> Kernel {
 /// Elapsed cycles → `param(0)[block_id]`. Launch with exactly 2 blocks.
 pub fn flag_pingpong_chain(repeats: usize) -> Kernel {
     assert!(repeats >= 1);
-    interned(InternKey::FlagPingPong(repeats), || {
-        let mut b = KernelBuilder::new("flag-pingpong");
-        let c = b.reg();
-        let r = b.reg();
-        let t0 = b.reg();
-        let t1 = b.reg();
-        b.cmp_eq(c, Sp(Special::Tid), Imm(0));
-        b.bra_ifz(Reg(c), "out");
-        b.mov(r, Imm(0));
-        b.read_clock(t0);
-        b.label("round");
-        b.iadd(r, Reg(r), Imm(1));
-        b.cmp_eq(c, Sp(Special::BlockId), Imm(0));
-        b.bra_ifz(Reg(c), "peer");
-        b.signal(Param(1), Imm(0), Reg(r));
-        b.wait_ge(Param(1), Imm(1), Reg(r));
-        b.bra("next");
-        b.label("peer");
-        b.wait_ge(Param(1), Imm(0), Reg(r));
-        b.signal(Param(1), Imm(1), Reg(r));
-        b.label("next");
-        b.cmp_lt(c, Reg(r), Imm(repeats as u64));
-        b.bra_if(Reg(c), "round");
-        b.read_clock(t1);
-        b.isub(t1, Reg(t1), Reg(t0));
-        b.push(Instr::StGlobal {
-            buf: Param(0),
-            idx: Sp(Special::BlockId),
-            val: Reg(t1),
-        });
-        b.label("out");
-        b.exit();
-        b.build(0)
-    })
+    let mut b = KernelBuilder::new("flag-pingpong");
+    let c = b.reg();
+    let r = b.reg();
+    let t0 = b.reg();
+    let t1 = b.reg();
+    b.cmp_eq(c, Sp(Special::Tid), Imm(0));
+    b.bra_ifz(Reg(c), "out");
+    b.mov(r, Imm(0));
+    b.read_clock(t0);
+    b.label("round");
+    b.iadd(r, Reg(r), Imm(1));
+    b.cmp_eq(c, Sp(Special::BlockId), Imm(0));
+    b.bra_ifz(Reg(c), "peer");
+    b.signal(Param(1), Imm(0), Reg(r));
+    b.wait_ge(Param(1), Imm(1), Reg(r));
+    b.bra("next");
+    b.label("peer");
+    b.wait_ge(Param(1), Imm(0), Reg(r));
+    b.signal(Param(1), Imm(1), Reg(r));
+    b.label("next");
+    b.cmp_lt(c, Reg(r), Imm(repeats as u64));
+    b.bra_if(Reg(c), "round");
+    b.read_clock(t1);
+    b.isub(t1, Reg(t1), Reg(t0));
+    b.push(Instr::StGlobal {
+        buf: Param(0),
+        idx: Sp(Special::BlockId),
+        val: Reg(t1),
+    });
+    b.label("out");
+    b.exit();
+    b.build(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1297,28 +1230,5 @@ mod tests {
         let (timers, state) = run(flag_pingpong_chain(8), 2, 2);
         assert!(timers.iter().all(|&t| t > 0), "{timers:?}");
         assert_eq!(state, vec![8, 8], "both flags end at the round count");
-    }
-
-    /// Interning must be invisible: a cache hit is byte-equal to a fresh
-    /// emission, and distinct parameters never collide.
-    #[test]
-    fn interned_builders_match_fresh_emission() {
-        let cached = sync_chain(SyncOp::Grid, 4);
-        let fresh = chain_kernel("sync-chain-Grid", 4, |b, acc| SyncOp::Grid.emit(b, acc));
-        assert_eq!(cached, fresh);
-        assert_eq!(cached, sync_chain(SyncOp::Grid, 4));
-        assert_ne!(sync_chain(SyncOp::Grid, 5), cached);
-        assert_eq!(
-            coalesced_partial_chain(7, 3),
-            coalesced_partial_chain_uncached(7, 3)
-        );
-        assert_eq!(
-            smem_stream_kernel(64, 32),
-            smem_stream_kernel_uncached(64, 32)
-        );
-        assert_eq!(
-            stream_kernel_eff(2, 870),
-            stream_kernel_eff_uncached(2, 870)
-        );
     }
 }

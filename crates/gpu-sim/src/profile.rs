@@ -238,6 +238,20 @@ impl ProfileReport {
         }
     }
 
+    /// Fold `reports` in order into [`ProfileReport::empty`]: the one way a
+    /// sweep combines its cells' profiles, so the bytes depend only on the
+    /// order of `reports`, never on which worker produced each one.
+    pub fn merged<'a>(
+        ps_per_cycle: f64,
+        reports: impl IntoIterator<Item = &'a ProfileReport>,
+    ) -> ProfileReport {
+        let mut acc = ProfileReport::empty(ps_per_cycle);
+        for r in reports {
+            acc.merge(r);
+        }
+        acc
+    }
+
     pub(crate) fn from_parts(
         ps_per_cycle: f64,
         kernel: String,
@@ -399,9 +413,7 @@ mod tests {
             vec![],
             0,
         );
-        let mut m = ProfileReport::empty(1000.0);
-        m.merge(&a);
-        m.merge(&b);
+        let m = ProfileReport::merged(1000.0, [&a, &b]);
         assert_eq!(m.kernels.len(), 1);
         assert_eq!(m.kernels[0].launches, 2);
         assert_eq!(m.kernels[0].totals.block_wait_ps, 22);
@@ -429,14 +441,11 @@ mod tests {
                 )
             })
             .collect();
-        let fold = |cells: &[ProfileReport]| {
-            let mut m = ProfileReport::empty(1000.0);
-            for c in cells {
-                m.merge(c);
-            }
-            m.to_json()
-        };
+        let fold = |cells: &[ProfileReport]| ProfileReport::merged(1000.0, cells).to_json();
         assert_eq!(fold(&cells), fold(&cells));
+        // Merging one report into an empty one of the same clock is the
+        // identity, so a sweep of one cell reports that cell's bytes.
+        assert_eq!(ProfileReport::merged(1000.0, &cells[..1]), cells[0]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! (the fault plan's kill list is renumbered with
 //! [`crate::fault::FaultPlan::evict_ranks`]) and re-run degraded. The
 //! surviving devices keep their original ids, so link costs between them
-//! are unchanged — exactly the topology [`NodeTopology::evict`] would
-//! describe, which is what the report's `effective_topology` records.
+//! are unchanged — exactly the topology
+//! [`gpu_node::NodeTopology::evict`] would describe, which is what the
+//! report's `effective_topology` records.
 //!
 //! With no policy installed nothing here runs and every artifact byte is
 //! identical to an unwrapped execution.

@@ -464,6 +464,61 @@ fn out_of_bounds_global_store_faults() {
         .is_err());
 }
 
+/// A plain store and a `Signal` through the L2 unit fail at the same word
+/// of a buffer five words short of the block, so only the kernel, pc and
+/// instruction can tell their faults apart.
+#[test]
+fn memory_faults_name_their_instruction() {
+    let fault = |name: &str, pc: u32, instr: Instr| {
+        let mut sys = GpuSystem::single(v100(1));
+        let buf = sys.alloc(0, 64 - 5);
+        let mut b = KernelBuilder::new(name);
+        let r = b.reg();
+        for _ in 0..pc {
+            b.mov(r, Imm(0));
+        }
+        b.push(instr);
+        b.exit();
+        match sys.run_plain(&GridLaunch::single(b.build(0), 1, 64, vec![buf.0 as u64])) {
+            Err(SimError::MemoryFault(msg)) => msg,
+            r => panic!("{name}: expected a memory fault, got {r:?}"),
+        }
+    };
+    let store = fault(
+        "store-gtid",
+        0,
+        Instr::StGlobal {
+            buf: Param(0),
+            idx: Sp(Special::GlobalTid),
+            val: Imm(1),
+        },
+    );
+    let signal = fault(
+        "signal-gtid",
+        1,
+        Instr::Signal {
+            buf: Param(0),
+            idx: Sp(Special::GlobalTid),
+            val: Imm(1),
+        },
+    );
+    assert_ne!(store, signal);
+    for (msg, name, pc, mnemonic) in [
+        (&store, "store-gtid", 0, "st.global"),
+        (&signal, "signal-gtid", 1, "signal"),
+    ] {
+        assert!(
+            msg.starts_with(&format!("kernel {name:?} pc {pc} `{mnemonic}")),
+            "{msg}"
+        );
+        assert!(msg.contains("(rank 0 block 0 warp 1)"), "{msg}");
+        assert!(
+            msg.ends_with("store at 59 beyond buffer of 59 words"),
+            "{msg}"
+        );
+    }
+}
+
 #[test]
 fn shared_memory_overflow_faults() {
     let mut sys = GpuSystem::single(v100(1));

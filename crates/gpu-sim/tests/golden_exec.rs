@@ -79,19 +79,19 @@ v100-combine-overlapping-lanes: duration=364210 instrs=2 warps=1 mem=76e02d657f1
 v100-combine-lane-buffers: duration=373357 instrs=5 warps=1 mem=4734d2b01a80a478 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-dense-memstream: duration=356808 instrs=16 warps=4 mem=d68683b5f09c05bd trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-ldst-lane-buffers: duration=350611 instrs=14 warps=2 mem=f8841d2345e4d52d trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
-v100-uniform-load-past-end: error=MemoryFault 434a4998fc36faa7
+v100-uniform-load-past-end: error=MemoryFault 7a8b45c215ec4b1e
 v100-uniform-loop-lane-acc: duration=101379 instrs=204 warps=6 mem=d489f69e932b8d3a trace=c1b9d420b4d22f94 profile=669b18c6d2d9c95b
 v100-uniform-load-plus-tid: duration=345275 instrs=20 warps=4 mem=f98521e619741b25 trace=1610a1272461a990 profile=669b18c6d2d9c95b
 v100-shfl-reads-uniform: duration=38932 instrs=36 warps=4 mem=52f0b13c27a45825 trace=62ba039d6e63b276 profile=669b18c6d2d9c95b
 v100-dgx1-mgrid-x2-tail-48: duration=24803680 instrs=160 warps=16 mem=f7f1737f2614b285 trace=5729f1971e524cf0 profile=669b18c6d2d9c95b
 v100-dgx1-x2-rank-warp: duration=19056 instrs=126 warps=18 mem=6d3988e3ff475c25 trace=ecbe88b1d69739a3 profile=669b18c6d2d9c95b
-v100-store-gtid-5-short: error=MemoryFault 76b462e6c9da02ea
+v100-store-gtid-5-short: error=MemoryFault e972f2b6bf259a15
 v100-load-col-gtid-plus-7: duration=342226 instrs=16 warps=4 mem=7f6b078fe31fa482 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-load-col-reversed: duration=342226 instrs=16 warps=4 mem=e70d5cfe1dd47a02 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 v100-split-halves-store: duration=46495 instrs=14 warps=2 mem=cdc05adad64aca25 trace=1fff11c385dc0b95 profile=669b18c6d2d9c95b
 v100-lane-atomics: duration=4525042 instrs=28 warps=2 mem=4b4ab357af1a0c01 trace=51f6cc4b3f06b688 profile=669b18c6d2d9c95b
-v100-iadd-gtid-5-short: error=MemoryFault f81a9fc98c52f3b7
-v100-signal-gtid-5-short: error=MemoryFault 76b462e6c9da02ea
+v100-iadd-gtid-5-short: error=MemoryFault 10805bbeb43cdbc0
+v100-signal-gtid-5-short: error=MemoryFault 6a24f4a951bf80e8
 v100-wait-lane-flags-profiled: duration=1430369 instrs=8 warps=4 mem=daae756b97d6bf25 trace=669b18c6d2d9c95b profile=972b66864b22b789
 ";
 

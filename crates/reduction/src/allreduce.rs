@@ -16,7 +16,7 @@ use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, Kernel, KernelBuilder, Operand, Special};
-use gpu_sim::{BufId, GpuSystem, GridLaunch, LaunchKind, RunOptions};
+use gpu_sim::{BufId, GpuSystem, GridLaunch, RunOptions};
 use serde::Serialize;
 use sim_core::SimResult;
 use Operand::{Imm, Param, Reg as R, Sp};
@@ -210,15 +210,8 @@ pub fn measure_allreduce(
                     ]
                 })
                 .collect();
-            let launch = GridLaunch {
-                kernel: mgrid_pull_kernel_fixed(),
-                grid_dim: grid,
-                block_dim: block,
-                kind: LaunchKind::CooperativeMultiDevice,
-                devices: (0..n).collect(),
-                params,
-                checked: false,
-            };
+            let launch =
+                GridLaunch::multi(mgrid_pull_kernel(), grid, block, (0..n).collect(), params);
             h.launch(0, &launch, &RunOptions::new())?;
             for d in 0..n {
                 h.device_synchronize(0, d);
@@ -287,11 +280,11 @@ fn combine_with_offset_kernel() -> Kernel {
     b.build(0)
 }
 
-/// The corrected multi-grid pull kernel: accumulate every rank's vector into
-/// zeroed scratch, sync, copy scratch back into the own vector.
+/// The multi-grid pull kernel: accumulate every rank's vector into zeroed
+/// scratch, sync, copy scratch back into the own vector.
 /// Params: 0 = own vector, 1 = zeroed scratch, 2 = peer table, 3 = n,
 /// 4 = len.
-fn mgrid_pull_kernel_fixed() -> Kernel {
+fn mgrid_pull_kernel() -> Kernel {
     let mut b = KernelBuilder::new("allreduce-mgrid");
     let r = b.reg();
     let c = b.reg();
@@ -317,10 +310,8 @@ fn mgrid_pull_kernel_fixed() -> Kernel {
     b.bra("peers");
     b.label("done_pull");
     b.multi_grid_sync();
-    // own[i] = scratch[i] + 0: reuse the elementwise loop with own as a
-    // zero source is wrong; instead copy via combine(own = scratch + own*0)…
-    // simplest correct move: own[i] = scratch[i] + zero — the host zeroes
-    // `own` is NOT possible (it holds input). Use per-element store loop.
+    // `MemCombine` only adds two sources and no zeroed one is at hand (`own`
+    // still holds this rank's input), so the sum is copied back word by word.
     let i = b.reg();
     let x = b.reg();
     b.mov(i, Sp(Special::GlobalTid));

@@ -5,9 +5,10 @@ use crate::block::{emit_block_reduce_tail, emit_summing, BLOCK_SMEM_WORDS};
 use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
 use gpu_sim::isa::{Instr, Kernel, KernelBuilder, Operand, Special};
-use gpu_sim::{GpuSystem, GridLaunch, LaunchKind, RunOptions};
+use gpu_sim::{GpuSystem, GridLaunch, RunOptions};
 use serde::Serialize;
 use sim_core::SimResult;
+use sync_micro::sweep::Sweep;
 use Operand::{Imm, Param, Reg as R, Sp};
 
 /// The synchronization strategy between the streaming phase and the final
@@ -287,15 +288,8 @@ pub fn measure_device_reduce(
             let k = grid_sync_kernel(eff);
             let max = arch.max_cooperative_blocks(block, BLOCK_SMEM_WORDS * 8);
             let grid = grid.min(max);
-            let launch = GridLaunch {
-                kernel: k,
-                grid_dim: grid,
-                block_dim: block,
-                kind: LaunchKind::Cooperative,
-                devices: vec![0],
-                params: vec![vec![input.0 as u64, n, partials.0 as u64, result.0 as u64]],
-                checked: false,
-            };
+            let params = vec![input.0 as u64, n, partials.0 as u64, result.0 as u64];
+            let launch = GridLaunch::single(k, grid, block, params).cooperative();
             h.launch(0, &launch, &RunOptions::new())?;
             h.device_synchronize(0, 0);
         }
@@ -341,16 +335,20 @@ pub fn measure_device_reduce(
     })
 }
 
-/// Fig. 15: latency vs input size for every method.
+/// Fig. 15: latency vs input size for every method, in (size, method)
+/// order. Every point is an independent simulation, so the grid runs as one
+/// sweep; the first error in input order comes back.
 pub fn figure15(arch: &GpuArch, sizes_mb: &[f64]) -> SimResult<Vec<DeviceReduceSample>> {
-    let mut out = Vec::new();
-    for &mb in sizes_mb {
-        let n = (mb * 1e6 / 8.0) as u64;
-        for m in DeviceReduceMethod::ALL {
-            out.push(measure_device_reduce(arch, m, n)?);
-        }
-    }
-    Ok(out)
+    let points: Vec<(f64, DeviceReduceMethod)> = sizes_mb
+        .iter()
+        .flat_map(|&mb| DeviceReduceMethod::ALL.map(|m| (mb, m)))
+        .collect();
+    Sweep::new()
+        .run(points, |(mb, m)| {
+            measure_device_reduce(arch, m, (mb * 1e6 / 8.0) as u64)
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Table VI: bandwidth of each method at a large, bandwidth-bound size.

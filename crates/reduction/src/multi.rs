@@ -6,7 +6,7 @@ use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, Kernel, KernelBuilder, Operand, Special};
-use gpu_sim::{BufId, GpuSystem, GridLaunch, LaunchKind, RunOptions};
+use gpu_sim::{BufId, GpuSystem, GridLaunch, RunOptions};
 use serde::Serialize;
 use sim_core::SimResult;
 use Operand::{Imm, Param, Reg as R, Sp};
@@ -238,15 +238,8 @@ pub fn measure_multi_gpu_reduce(
                     ]
                 })
                 .collect();
-            let launch = GridLaunch {
-                kernel: mgrid_kernel(ROUNDS),
-                grid_dim: grid,
-                block_dim: block,
-                kind: LaunchKind::CooperativeMultiDevice,
-                devices: (0..n).collect(),
-                params,
-                checked: false,
-            };
+            let launch =
+                GridLaunch::multi(mgrid_kernel(ROUNDS), grid, block, (0..n).collect(), params);
             let t0 = h.now(0);
             h.launch(0, &launch, &RunOptions::new())?;
             for d in 0..n {
