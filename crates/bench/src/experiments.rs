@@ -2,7 +2,7 @@
 //!
 //! Every function regenerates its artifact from scratch on the simulated
 //! platforms and renders it in the paper's shape. `EXPERIMENTS` is the
-//! registry the `repro` binary and the criterion benches drive.
+//! registry the `repro` binary drives.
 
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;

@@ -612,7 +612,9 @@ impl<'a> Engine<'a> {
             match ev {
                 Ev::WarpStep(w, gen) => {
                     if self.warps[w as usize].gen == gen && !self.warps[w as usize].done {
-                        self.run_warp(w)?;
+                        if let Some(at) = self.step_warp(w)? {
+                            self.schedule_warp(w, at);
+                        }
                     }
                 }
                 Ev::StartBlock(b) => self.start_block(b),
@@ -653,42 +655,6 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&dev| master_done + topo.flag_latency(master, dev))
             .collect()
-    }
-
-    /// Step `w`, then *run ahead*: as long as the warp's next step lands
-    /// strictly before every pending event, keep stepping it inline instead
-    /// of an event-queue push/pop per instruction. Strict `<` means no
-    /// equal-time event can be overtaken, so FIFO tie-breaking — and hence
-    /// byte-identical replay — is preserved. Before each inline step the
-    /// warp's generation is bumped exactly as `schedule_warp` would, so any
-    /// event pushed for this warp in the meantime (e.g. a synchronous
-    /// barrier-release wake) goes stale just as it would on the slow path.
-    fn run_warp(&mut self, w: u32) -> SimResult<()> {
-        let mut next = self.step_warp(w)?;
-        while let Some(at) = next {
-            let ahead = match self.q.peek_time() {
-                None => true,
-                Some(t) => at < t,
-            };
-            if !ahead {
-                self.schedule_warp(w, at);
-                return Ok(());
-            }
-            if self.instrs_executed > self.sys.instr_limit {
-                return Err(self.instr_limit_error());
-            }
-            let warp = &mut self.warps[w as usize];
-            warp.gen = warp.gen.wrapping_add(1);
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            // A lone spinning warp never leaves this inline loop (the queue
-            // is empty), so the watchdog must also fire here.
-            if self.watchdog_expired() {
-                return Err(self.watchdog_error());
-            }
-            next = self.step_warp(w)?;
-        }
-        Ok(())
     }
 
     // ----- fault injection / watchdog -----------------------------------------
@@ -1278,8 +1244,8 @@ impl<'a> Engine<'a> {
 
     /// Execute one step of warp `w`. Returns the time the warp should next
     /// be stepped, or `None` when it is parked, retired, or a wake event
-    /// already carries its schedule — the caller (`run_warp`) either pushes
-    /// the event or runs the warp ahead inline.
+    /// already carries its schedule — otherwise `run_full` pushes the
+    /// warp's next step.
     fn step_warp(&mut self, w: u32) -> SimResult<Option<Ps>> {
         let warp = &self.warps[w as usize];
         let runnable = warp.runnable();
@@ -2138,8 +2104,9 @@ impl<'a> Engine<'a> {
                     // re-executes this instruction after the architecture's
                     // poll interval. The stationary PC watermark is exactly
                     // what the watchdog classifies as `StuckKind::Spinning`
-                    // when the flag is never signalled — in both the pop loop
-                    // and the run-ahead fast path.
+                    // when the flag is never signalled. Each retry is one
+                    // queue pop, and `run_full` checks the watchdog at every
+                    // pop.
                     Ok(Step::Ready(done + self.lat.poll))
                 }
             }

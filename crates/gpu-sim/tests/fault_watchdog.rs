@@ -50,10 +50,10 @@ fn wait_forever() -> gpu_sim::Kernel {
 }
 
 #[test]
-fn watchdog_catches_unsignalled_flag_wait_in_run_ahead_path() {
-    // A single lone warp: after launch the event queue holds nothing but
-    // this warp's own steps, so every `WaitGe` retry happens inside the
-    // run-ahead inline loop — the watchdog must fire from inside it.
+fn watchdog_catches_unsignalled_flag_wait_of_a_lone_warp() {
+    // A single lone warp: after launch the warp's own `WaitGe` retry is the
+    // only queued event, so each poll is one pop, and the watchdog check at
+    // that pop is the only one that can end the run.
     let mut sys = GpuSystem::single(v100_small(1));
     let flag = sys.alloc(0, 1);
     let r = sys.execute(
@@ -80,9 +80,8 @@ fn watchdog_catches_unsignalled_flag_wait_in_run_ahead_path() {
 
 #[test]
 fn watchdog_catches_unsignalled_flag_wait_in_pop_loop() {
-    // Several warps across several SMs all poll the dead flag: their
-    // interleaved retry events keep the queue non-empty, so the engine
-    // stays in the pop loop — the watchdog must fire there too, and every
+    // Several warps across several SMs all poll the dead flag, their retry
+    // events interleaved in the queue: the watchdog must fire, and every
     // stuck warp must classify as spinning.
     let mut sys = GpuSystem::single(v100_small(2));
     let flag = sys.alloc(0, 1);

@@ -13,15 +13,14 @@
 //!   from `last` is bit `b − 1`.
 //!
 //! Every time in bucket `b` is smaller than every time in a higher bucket, so
-//! the earliest event lies in the lowest non-empty bucket. A per-bucket
-//! minimum and a non-empty bitmask make [`EventQueue::peek_time`] O(1), which
-//! matters because the engine's run-ahead fast path calls it after every warp
-//! step. When bucket 0 runs empty, `pop` moves `last` up to the minimum of
-//! the lowest non-empty bucket and re-links that bucket's entries relative to
-//! it; each lands in a strictly lower bucket, so an event is re-linked at most
-//! 64 times over its life and a pop costs amortized O(1) instead of a heap's
-//! O(log n). Buckets above the re-linked one keep their meaning, because the
-//! new `last` agrees with the old one at those bits.
+//! the earliest event lies in the lowest non-empty bucket, which a non-empty
+//! bitmask finds in O(1). When bucket 0 runs empty, `pop` moves `last` up to
+//! the minimum of that bucket, kept per bucket as entries are linked, and
+//! re-links the bucket's entries relative to it; each lands in a strictly
+//! lower bucket, so an event is re-linked at most 64 times over its life and
+//! a pop costs amortized O(1) instead of a heap's O(log n). Buckets above
+//! the re-linked one keep their meaning, because the new `last` agrees with
+//! the old one at those bits.
 //!
 //! **Why no sequence number is needed.** An event's bucket is a function of
 //! its time and `last` alone, so events at equal times always share one
@@ -154,41 +153,6 @@ impl<E> EventQueue<E> {
         Some((self.last, ev))
     }
 
-    /// Time of the earliest pending event, in O(1).
-    #[inline]
-    pub fn peek_time(&self) -> Option<Ps> {
-        if self.head[0] != NIL {
-            Some(self.last)
-        } else if self.nonempty != 0 {
-            Some(self.min[self.lowest()])
-        } else {
-            None
-        }
-    }
-
-    /// The earliest pending event, without removing it. Unlike `peek_time`
-    /// this walks the lowest bucket's list when bucket 0 is empty.
-    pub fn peek(&self) -> Option<(Ps, &E)> {
-        let at = self.peek_time()?;
-        let b = if self.head[0] != NIL {
-            0
-        } else {
-            self.lowest()
-        };
-        let mut i = self.head[b];
-        loop {
-            let slot = &self.slab[i as usize];
-            if slot.at == at {
-                let ev = slot
-                    .ev
-                    .as_ref()
-                    .expect("a linked slab entry holds its event");
-                return Some((at, ev));
-            }
-            i = slot.next;
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -290,15 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert!(q.peek().is_none());
         q.push(Ps(7), 'a');
         q.push(Ps(3), 'b');
-        assert_eq!(q.peek_time(), Some(Ps(3)));
-        assert_eq!(q.peek(), Some((Ps(3), &'b')));
         assert_eq!(q.len(), 2);
         q.clear();
         assert!(q.is_empty());
@@ -365,8 +325,8 @@ mod tests {
 
         // Engine-shaped rounds on the same model: trains of wakes 2^20–2^27
         // ps past the time of the last pop, equal-time bursts at it, pushes
-        // before it, and `clear()` with reuse halfway, with `peek_time`,
-        // `peek` and `len` checked after every operation. The bases put the
+        // before it, and `clear()` with reuse halfway, with `len` and the
+        // bucket layout checked after every operation. The bases put the
         // times in low and middle bits, across 2^63 and near the top of the
         // range.
         let bases = [0, 1 << 40, (1 << 63) - (1 << 30), u64::MAX - (1 << 48)];
@@ -465,8 +425,8 @@ mod tests {
 
     /// The queue beside a model of its contract: a list of `(time, id)` in
     /// push order, whose pop takes the first entry of the earliest time.
-    /// Every operation checks `peek_time`, `peek`, `len` and the bucket
-    /// layout afterwards.
+    /// Every operation checks `len` and the bucket layout afterwards, and
+    /// every pop its result.
     struct Replay {
         q: EventQueue<u64>,
         model: Vec<(Ps, u64)>,
@@ -524,10 +484,6 @@ mod tests {
         }
 
         fn check(&self) {
-            let head = self.head().map(|p| self.model[p]);
-            assert_eq!(self.q.peek_time(), head.map(|e| e.0), "{}", self.ctx);
-            let peeked = self.q.peek().map(|(t, &id)| (t, id));
-            assert_eq!(peeked, head, "{}", self.ctx);
             assert_eq!(self.q.len(), self.model.len(), "{}", self.ctx);
             assert_buckets(&self.q, &self.ctx);
         }

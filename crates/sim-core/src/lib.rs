@@ -16,7 +16,7 @@ pub mod time;
 
 pub use error::{CellError, FaultFingerprint, SimError, SimResult, StuckKind, StuckWarp};
 pub use event::EventQueue;
-pub use resource::{interval_from_ops_per_cycle, Channel, Issue, Pipeline};
+pub use resource::{Channel, Issue, Pipeline};
 pub use rng::SmallRng;
 pub use stats::{propagate_difference_quotient, OnlineStats, Summary};
 pub use time::{Clock, Ps};

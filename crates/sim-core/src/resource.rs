@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Pipeline {
     next_free: Ps,
-    /// Total busy time accumulated (for utilization reporting).
-    busy: Ps,
-    ops: u64,
 }
 
 /// The outcome of issuing an operation into a pipeline.
@@ -39,8 +36,6 @@ impl Pipeline {
     pub fn issue(&mut self, now: Ps, interval: Ps, latency: Ps) -> Issue {
         let start = now.max(self.next_free);
         self.next_free = start + interval;
-        self.busy += interval;
-        self.ops += 1;
         Issue {
             start,
             done: start + latency,
@@ -55,18 +50,6 @@ impl Pipeline {
     /// Reserve the unit until `until` (e.g. a burst transfer).
     pub fn block_until(&mut self, until: Ps) {
         self.next_free = self.next_free.max(until);
-    }
-
-    pub fn ops_issued(&self) -> u64 {
-        self.ops
-    }
-
-    pub fn busy_time(&self) -> Ps {
-        self.busy
-    }
-
-    pub fn reset(&mut self) {
-        *self = Pipeline::default();
     }
 }
 
@@ -111,10 +94,6 @@ impl Channel {
         }
     }
 
-    pub fn bandwidth_gbs(&self) -> f64 {
-        self.bytes_per_ps * 1e3
-    }
-
     pub fn latency(&self) -> Ps {
         self.latency
     }
@@ -122,17 +101,6 @@ impl Channel {
     pub fn next_free(&self) -> Ps {
         self.pipe.next_free()
     }
-
-    pub fn reset(&mut self) {
-        self.pipe.reset();
-    }
-}
-
-/// Convert a throughput expressed in operations/cycle into the per-op issue
-/// interval in picoseconds, given the ps-per-cycle of the governing clock.
-pub fn interval_from_ops_per_cycle(ops_per_cycle: f64, ps_per_cycle: f64) -> Ps {
-    assert!(ops_per_cycle > 0.0);
-    Ps((ps_per_cycle / ops_per_cycle).round() as u64)
 }
 
 #[cfg(test)]
@@ -148,8 +116,6 @@ mod tests {
         assert_eq!(a.done, Ps(100));
         assert_eq!(b.start, Ps(10));
         assert_eq!(b.done, Ps(110));
-        assert_eq!(p.ops_issued(), 2);
-        assert_eq!(p.busy_time(), Ps(20));
     }
 
     #[test]
@@ -177,16 +143,6 @@ mod tests {
     #[test]
     fn channel_reports_configuration() {
         let ch = Channel::new(898.0, Ps::from_ns(400));
-        assert!((ch.bandwidth_gbs() - 898.0).abs() < 1e-9);
         assert_eq!(ch.latency(), Ps::from_ns(400));
-    }
-
-    #[test]
-    fn interval_from_throughput() {
-        // 16 ops/cycle at 1000ps/cycle -> one op every 62.5ps ~ 63ps.
-        let i = interval_from_ops_per_cycle(16.0, 1000.0);
-        assert_eq!(i, Ps(63));
-        // 0.5 ops/cycle -> 2 cycles per op.
-        assert_eq!(interval_from_ops_per_cycle(0.5, 1000.0), Ps(2000));
     }
 }

@@ -37,7 +37,6 @@ fn pipeline_is_monotone() {
         let n = rng.range_u64(1, 100);
         let mut p = Pipeline::new();
         let mut last_start = Ps::ZERO;
-        let mut issued = 0u64;
         for _ in 0..n {
             let now = rng.below(1000);
             let interval = rng.range_u64(1, 50);
@@ -47,9 +46,7 @@ fn pipeline_is_monotone() {
             assert!(r.start >= Ps(now));
             assert!(r.done == r.start + Ps(latency));
             last_start = r.start;
-            issued += 1;
         }
-        assert_eq!(p.ops_issued(), issued);
     }
 }
 
