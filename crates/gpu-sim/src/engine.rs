@@ -161,6 +161,18 @@ struct GridBar {
     waiting: Vec<(u32, Ps)>,
 }
 
+/// A grid or multi-grid release before its wakes are queued: one train per
+/// released block, in release order, for [`EventQueue::hand_over`]. Kept
+/// across releases so its buffers are reused.
+#[derive(Debug, Default)]
+struct Release {
+    /// (first wake, warps woken) per block.
+    trains: Vec<(Ps, u32)>,
+    /// The block of each train; its `bar_waiting` lists the warps in ramp
+    /// order.
+    blocks: Vec<u32>,
+}
+
 /// Per-round state of the node-wide multi-grid barrier.
 #[derive(Debug, Default)]
 struct MultiGridBar {
@@ -347,6 +359,9 @@ pub(crate) struct Engine<'a> {
     blocks: Vec<BlockRt>,
     devs: Vec<DevExec>,
     mgrid: MultiGridBar,
+    /// The grid or multi-grid release being made (see
+    /// [`Engine::release_grid`]).
+    release: Release,
     peer: HashMap<(usize, usize), Channel>,
     instrs_executed: u64,
     warps_run: u64,
@@ -397,9 +412,9 @@ struct ProfState {
 /// Every fixed per-arch latency from [`gpu_arch::TimingParams`], converted
 /// to integer `Ps` once at engine construction with exactly the rounding of
 /// [`Engine::cyc`] — the hot loop never touches `f64` for these. Costs that
-/// genuinely vary per event (contended atomic intervals, per-warp release
-/// ramps, stream-bandwidth floors) still go through `cyc` live.
-#[derive(Debug, Clone, Copy)]
+/// genuinely vary per event (contended atomic intervals, stream-bandwidth
+/// floors) still go through `cyc` live.
+#[derive(Debug, Clone)]
 struct LatTab {
     issue_interval: Ps,
     alu: Ps,
@@ -441,6 +456,12 @@ struct LatTab {
     c4: Ps,
     /// cyc(20.0): wave-scheduling block dispatch.
     c20: Ps,
+    /// Wake offset of the `i`-th warp a grid (multi-grid) barrier releases
+    /// in a block: `cyc(grid_release_per_warp * i)`
+    /// (`mgrid_release_per_warp`), one entry per warp of the launch's
+    /// blocks.
+    grid_ramp: Box<[Ps]>,
+    mgrid_ramp: Box<[Ps]>,
 }
 
 /// The `Engine::cyc` conversion as a free function, usable before `self`
@@ -450,9 +471,14 @@ fn cyc_of(ps_per_cycle: f64, c: f64) -> Ps {
 }
 
 impl LatTab {
-    fn new(arch: &GpuArch, ppc: f64) -> LatTab {
+    fn new(arch: &GpuArch, ppc: f64, warps_per_block: u32) -> LatTab {
         let t = &arch.timing;
         let cyc = |c: f64| cyc_of(ppc, c);
+        let ramp = |per_warp: f64| {
+            (0..warps_per_block)
+                .map(|i| cyc(per_warp * i as f64))
+                .collect()
+        };
         let mut smem_port_int = [Ps::ZERO; 33];
         for (n, slot) in smem_port_int.iter_mut().enumerate() {
             *slot = cyc(8.0 * n as f64 / t.smem_bytes_per_cycle_sm);
@@ -491,6 +517,17 @@ impl LatTab {
             c1: cyc(1.0),
             c4: cyc(4.0),
             c20: cyc(20.0),
+            grid_ramp: ramp(t.grid_release_per_warp),
+            mgrid_ramp: ramp(t.mgrid_release_per_warp),
+        }
+    }
+
+    /// The per-warp wake ramp of a grid or multi-grid release.
+    fn release_ramp(&self, mgrid: bool) -> &[Ps] {
+        if mgrid {
+            &self.mgrid_ramp
+        } else {
+            &self.grid_ramp
         }
     }
 }
@@ -553,7 +590,7 @@ impl<'a> Engine<'a> {
         });
         let arch = sys.arch.clone();
         let ps_per_cycle = arch.clock().ps_per_cycle();
-        let lat = LatTab::new(&arch, ps_per_cycle);
+        let lat = LatTab::new(&arch, ps_per_cycle, launch.block_dim.div_ceil(WARP));
         let reg_layout = RegLayout::new(&launch.kernel.program);
         Engine {
             sys,
@@ -575,6 +612,7 @@ impl<'a> Engine<'a> {
             blocks: Vec::new(),
             devs: Vec::new(),
             mgrid: MultiGridBar::default(),
+            release: Release::default(),
             peer: HashMap::new(),
             instrs_executed: 0,
             warps_run: 0,
@@ -2579,12 +2617,20 @@ impl<'a> Engine<'a> {
     }
 
     fn release_warp_from_block_barrier(&mut self, w: u32, at: Ps) {
+        if self.unpark(w, at) {
+            self.schedule_warp(w, at);
+        }
+    }
+
+    /// Move warp `w`'s lanes parked at a block-level barrier past it, to run
+    /// again at `at`; false if none were parked there.
+    fn unpark(&mut self, w: u32, at: Ps) -> bool {
         let warp = &mut self.warps[w as usize];
         let mask = std::mem::take(&mut warp.blk_wait);
         let kind = warp.blk_kind;
         warp.blk_kind = BlockWaitKind::None;
         if mask == 0 {
-            return;
+            return false;
         }
         if self.prof.is_some() {
             let scope = match kind {
@@ -2598,7 +2644,7 @@ impl<'a> Engine<'a> {
         let pc = self.lane_pc(w, mask.trailing_zeros());
         self.set_pcs(w, mask, pc + 1);
         self.note_lanes(w, mask);
-        self.schedule_warp(w, at);
+        true
     }
 
     /// A block's warps are all parked on grid/multi-grid sync: its leader
@@ -2631,30 +2677,29 @@ impl<'a> Engine<'a> {
                 .max()
                 .unwrap_or(self.now);
             match kind {
-                BlockWaitKind::Grid => self.release_grid(rank, local_done, false),
+                BlockWaitKind::Grid => {
+                    self.release_grid(rank, local_done, false);
+                    self.wake_released(false);
+                }
                 BlockWaitKind::MultiGrid => self.rank_arrives_at_mgrid(rank, local_done),
                 _ => unreachable!(),
             }
         }
     }
 
-    /// All blocks of `rank` arrived: wake them once the release flag is set
-    /// at `release_flag`. Each leader polls the flag every `poll` cycles from
-    /// its own arrival atomic's completion, reads it one L2 latency later,
-    /// and releases its warps down the per-warp ramp. `mgrid` selects the
-    /// heavier per-warp system-scope release cost and per-block fence cost.
+    /// All blocks of `rank` arrived: release their warps, to wake once the
+    /// release flag is set at `release_flag`. Each leader polls the flag
+    /// every `poll` cycles from its own arrival atomic's completion, reads it
+    /// one L2 latency later, and releases its warps down the per-warp ramp.
+    /// `mgrid` selects the heavier per-warp system-scope release cost and
+    /// per-block fence cost. Each block's wakes become one train of
+    /// `self.release`, which [`Engine::wake_released`] queues.
     fn release_grid(&mut self, rank: usize, release_flag: Ps, mgrid: bool) {
         // A grid (or multi-grid) barrier orders every agent of the launch:
         // one launch-wide epoch tick. Block barriers deliberately do NOT
         // bump the global epoch — they only order one block's threads, and
         // a launch-wide tick for them would hide true cross-block races.
         self.grace_sync();
-        let t = &self.arch.timing;
-        let per_warp = if mgrid {
-            t.mgrid_release_per_warp
-        } else {
-            t.grid_release_per_warp
-        };
         // The per-block system-scope fence cost only exists when the barrier
         // actually spans devices (a 1-GPU multi-grid launch degenerates to a
         // grid barrier, matching the paper's near-identical 1-GPU columns).
@@ -2665,6 +2710,11 @@ impl<'a> Engine<'a> {
         };
         let mut waiting = std::mem::take(&mut self.devs[rank].grid_bar.waiting);
         self.devs[rank].grid_bar.arrived = 0;
+        // A release has at most one train per block of the launch: size the
+        // buffers for that once, so that no release grows them.
+        let spare = self.blocks.len() - self.release.trains.len();
+        self.release.trains.reserve_exact(spare);
+        self.release.blocks.reserve_exact(spare);
         let scope = if mgrid {
             SyncScope::MultiGrid
         } else {
@@ -2685,18 +2735,48 @@ impl<'a> Engine<'a> {
             b.smem.fence_all();
             b.bar_arrived = 0;
             b.bar_last = Ps::ZERO;
-            let mut warps = std::mem::take(&mut b.bar_waiting);
+            let warps = std::mem::take(&mut b.bar_waiting);
             for (i, &w) in warps.iter().enumerate() {
-                let at = wake_base + self.cyc(per_warp * i as f64);
-                self.release_warp_from_block_barrier(w, at);
+                let at = wake_base + self.lat.release_ramp(mgrid)[i];
+                let parked = self.unpark(w, at);
+                debug_assert!(
+                    parked,
+                    "warp {w} arrived at a grid barrier with no lanes parked"
+                );
             }
-            // Hand the (emptied) buffer back for the block's next barrier.
-            warps.clear();
+            self.release.trains.push((wake_base, warps.len() as u32));
+            self.release.blocks.push(gb);
+            // `wake_released` reads the list, then clears it.
             self.blocks[gb as usize].bar_waiting = warps;
         }
         // Hand the (emptied) buffer back for the next epoch's arrivals.
         waiting.clear();
         self.devs[rank].grid_bar.waiting = waiting;
+    }
+
+    /// Queue the wakes of the release made by [`Engine::release_grid`] (every
+    /// rank of a multi-grid release together) in one hand-over, which makes
+    /// them the queue's run when nothing else is pending, and empty the
+    /// released blocks' waiting lists.
+    fn wake_released(&mut self, mgrid: bool) {
+        let (blocks, warps) = (&self.blocks, &mut self.warps);
+        let wakes = self
+            .release
+            .blocks
+            .iter()
+            .flat_map(|&gb| &blocks[gb as usize].bar_waiting)
+            .map(|&w| {
+                let warp = &mut warps[w as usize];
+                warp.gen = warp.gen.wrapping_add(1);
+                Ev::WarpStep(w, warp.gen)
+            });
+        let ramp = self.lat.release_ramp(mgrid);
+        self.q.hand_over(&self.release.trains, ramp, wakes);
+        for &gb in &self.release.blocks {
+            self.blocks[gb as usize].bar_waiting.clear();
+        }
+        self.release.trains.clear();
+        self.release.blocks.clear();
     }
 
     /// One device finished its local multi-grid arrival; when all ranks have,
@@ -2719,6 +2799,7 @@ impl<'a> Engine<'a> {
         for (r, release) in releases.into_iter().enumerate() {
             self.release_grid(r, release, true);
         }
+        self.wake_released(true);
     }
 
     // ----- vectorized streams ---------------------------------------------------

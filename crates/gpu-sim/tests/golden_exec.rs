@@ -31,7 +31,14 @@
 //! buffer and word that differ across the warp, an `AtomicIAdd` and a
 //! `Signal` by `GlobalTid` into a buffer five words short of the grid (a
 //! load fault and a store fault), and a profiled `WaitGe` on per-lane flags
-//! that are already set.
+//! that are already set. The last three pin barrier releases that reach the
+//! event queue as one run of wakes: a traced grid chain on a 2-SM V100 whose
+//! eight blocks' 16-warp wake trains interleave, a profiled 3-GPU
+//! multi-grid chain of 48-thread blocks (two-warp trains whose second warp
+//! has 16 lanes; the ranks' identical trains tie at every wake), and a
+//! 4-GPU multi-grid chain under a 10 µs watchdog that completes only
+//! because a release marks its lanes' progress when the barrier resolves,
+//! not when they wake.
 //!
 //! Any engine refactor — event queue, warp state layout, scheduling fast
 //! paths — must leave every line byte-identical: these numbers are the
@@ -93,6 +100,9 @@ v100-lane-atomics: duration=4525042 instrs=28 warps=2 mem=4b4ab357af1a0c01 trace
 v100-iadd-gtid-5-short: error=MemoryFault 10805bbeb43cdbc0
 v100-signal-gtid-5-short: error=MemoryFault 6a24f4a951bf80e8
 v100-wait-lane-flags-profiled: duration=1430369 instrs=8 warps=4 mem=daae756b97d6bf25 trace=669b18c6d2d9c95b profile=972b66864b22b789
+v100-2sm-grid-8x512-traced: duration=6645829 instrs=1280 warps=128 mem=afb4da4f31ca88a5 trace=f80df6be70beba99 profile=669b18c6d2d9c95b
+v100-dgx1-mgrid-x3-tail-48-profiled: duration=25682450 instrs=360 warps=36 mem=fec3c7184b950e25 trace=669b18c6d2d9c95b profile=a5241757631a0354
+v100-dgx1-mgrid-x4-watchdog: duration=26345953 instrs=320 warps=32 mem=286b67b2b5188fe5 trace=669b18c6d2d9c95b profile=669b18c6d2d9c95b
 ";
 
 /// FNV-1a over a byte string: a stable digest for long artifacts.
@@ -1051,7 +1061,7 @@ fn cases() -> Vec<Case> {
             init: Some(int_words),
             ..single(
                 "v100-wait-lane-flags-profiled",
-                sms(v100, 1),
+                sms(v100.clone(), 1),
                 just(
                     "wait-lane-flags",
                     Instr::WaitGe {
@@ -1064,6 +1074,42 @@ fn cases() -> Vec<Case> {
                 64,
                 vec![2 * 64],
                 new().profile(),
+            )
+        },
+        Case {
+            opts: traced(),
+            ..chain(
+                "v100-2sm-grid-8x512-traced",
+                sms(v100.clone(), 2),
+                one(),
+                vec![0],
+                (SyncOp::Grid, 4),
+                8,
+                512,
+            )
+        },
+        Case {
+            opts: new().profile(),
+            ..chain(
+                "v100-dgx1-mgrid-x3-tail-48-profiled",
+                sms(v100.clone(), 2),
+                NodeTopology::dgx1_v100(),
+                vec![0, 1, 2],
+                (SyncOp::MultiGrid, 4),
+                6,
+                48,
+            )
+        },
+        Case {
+            opts: watchdog(),
+            ..chain(
+                "v100-dgx1-mgrid-x4-watchdog",
+                sms(v100, 2),
+                NodeTopology::dgx1_v100(),
+                (0..4).collect(),
+                (SyncOp::MultiGrid, 4),
+                4,
+                64,
             )
         },
     ]

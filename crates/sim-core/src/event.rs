@@ -42,7 +42,36 @@
 //! entries; the per-bucket lists and a free list are threaded through `next`.
 //! Popped entries are reused before the slab grows, so its length is the
 //! high-water mark of pending events (for the engine's 12-byte events, 24
-//! bytes each), and empty buckets hold no memory of their own.
+//! bytes each), and empty buckets hold no memory of their own. Entries from
+//! `fresh` on are free without being on the free list: the ones a push has
+//! not yet needed, and after a hand-over every entry past the run.
+//!
+//! **Runs.** A barrier release wakes many events at once, all known when it
+//! is made, and each would pay its own push and re-links.
+//! [`EventQueue::hand_over`] takes such a batch as *trains*: train `k` is
+//! `len` events at `base + ramp[i]`, one shared non-decreasing `ramp` for all
+//! trains. Into an empty queue the batch becomes the *run*: every slab entry
+//! is free then, so the run fills entries `0..n` in pop order, `pop` takes
+//! the run's head unless the radix minimum is strictly earlier, and each
+//! popped run entry goes to the free list for later pushes, so the run costs
+//! no memory beyond the slab's high-water mark. No sequence number is
+//! needed for the tie between the two: the queue was empty when the run
+//! arrived, so every radix entry was pushed after it, and a run entry pops
+//! first at equal times. A batch handed over while anything is pending is
+//! pushed entry by entry, in train order.
+//!
+//! The run is ordered by (time, push order) without a comparison sort. The
+//! trains give its span, from the earliest `base + ramp[0]` to the latest
+//! train end, without visiting an event; a counting pass splits that span
+//! into at least half as many equal power-of-two buckets as there are events
+//! and places each event, in push order, at the next slot of its bucket; one
+//! insertion pass then orders each bucket's few events by time, moving an
+//! event only past strictly later ones. Both steps keep push order among
+//! equal times. A batch whose fullest bucket holds more than
+//! `RUN_BUCKET_MAX` events (times bunched at a few points far apart) is
+//! ordered by a stable sort instead, so no shape costs quadratic time. The
+//! slab and the bucket counts are kept and reused, so a hand-over allocates
+//! nothing once they have grown to the largest batch.
 
 use crate::time::Ps;
 
@@ -52,13 +81,17 @@ const BUCKETS: usize = 65;
 /// End of a list.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: a pending event linked into its bucket, or a free entry
-/// linked into the free list.
+/// Most events one bucket of a run's counting pass may hold before the run
+/// is ordered by a stable sort instead of the insertion pass.
+const RUN_BUCKET_MAX: u32 = 64;
+
+/// One slab entry: a pending event linked into its bucket or in the run, or
+/// a free entry.
 #[derive(Debug)]
 struct Slot<E> {
     at: Ps,
     next: u32,
-    /// `None` only while the entry is on the free list.
+    /// `None` only while the entry is free.
     ev: Option<E>,
 }
 
@@ -79,7 +112,14 @@ pub struct EventQueue<E> {
     last: Ps,
     /// Head of the free list of slab entries.
     free: u32,
-    len: usize,
+    /// First slab entry neither pending nor on the free list; every entry
+    /// from it on is free.
+    fresh: u32,
+    /// The run's pending entries, `slab[run..run_end]`, in pop order.
+    run: u32,
+    run_end: u32,
+    /// Bucket counts of the run's counting pass, kept for reuse.
+    counts: Vec<u32>,
 }
 
 /// The bucket of an event at `at` relative to the reference time `last`:
@@ -105,7 +145,10 @@ impl<E> EventQueue<E> {
             nonempty: 0,
             last: Ps::ZERO,
             free: NIL,
-            len: 0,
+            fresh: 0,
+            run: 0,
+            run_end: 0,
+            counts: Vec::new(),
         }
     }
 
@@ -116,27 +159,36 @@ impl<E> EventQueue<E> {
         }
         let i = if self.free != NIL {
             let i = self.free;
-            let slot = &mut self.slab[i as usize];
-            self.free = slot.next;
-            slot.at = at;
-            slot.ev = Some(event);
+            self.free = self.slab[i as usize].next;
             i
         } else {
-            assert!(self.slab.len() < NIL as usize, "too many pending events");
-            let i = self.slab.len() as u32;
-            self.slab.push(Slot {
-                at,
-                next: NIL,
-                ev: Some(event),
-            });
-            i
+            if self.fresh as usize == self.slab.len() {
+                assert!(self.slab.len() < NIL as usize, "too many pending events");
+                self.slab.push(Slot {
+                    at,
+                    next: NIL,
+                    ev: None,
+                });
+            }
+            self.fresh += 1;
+            self.fresh - 1
         };
+        let slot = &mut self.slab[i as usize];
+        slot.at = at;
+        slot.ev = Some(event);
         self.link(bucket(at, self.last), i);
-        self.len += 1;
     }
 
     /// Remove and return the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(Ps, E)> {
+        if self.run < self.run_end {
+            let i = self.run;
+            let at = self.slab[i as usize].at;
+            if self.radix_min().is_none_or(|min| at <= min) {
+                self.run += 1;
+                return Some((at, self.release(i)));
+            }
+        }
         if self.head[0] == NIL {
             if self.nonempty == 0 {
                 return None;
@@ -144,30 +196,121 @@ impl<E> EventQueue<E> {
             self.relink_lowest();
         }
         let i = self.head[0];
+        self.head[0] = self.slab[i as usize].next;
+        Some((self.last, self.release(i)))
+    }
+
+    /// Take the event of pending slab entry `i` and put the entry on the
+    /// free list.
+    #[inline]
+    fn release(&mut self, i: u32) -> E {
         let slot = &mut self.slab[i as usize];
-        self.head[0] = slot.next;
-        let ev = slot.ev.take().expect("a linked slab entry holds its event");
         slot.next = self.free;
         self.free = i;
-        self.len -= 1;
-        Some((self.last, ev))
+        slot.ev
+            .take()
+            .expect("a pending slab entry holds its event")
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.head[0] == NIL && self.nonempty == 0 && self.run == self.run_end
     }
 
-    pub fn len(&self) -> usize {
-        self.len
+    /// Schedule a batch of trains: train `k`, `trains[k] = (base, len)`, is
+    /// `len` events at `base + ramp[i]` for `i` in `0..len`, pushed train by
+    /// train, and `evs` yields their payloads in that order. `ramp` must be
+    /// non-decreasing and cover the longest train. Into an empty queue the
+    /// batch becomes the run (see the module doc); otherwise each event is
+    /// pushed.
+    pub fn hand_over(
+        &mut self,
+        trains: &[(Ps, u32)],
+        ramp: &[Ps],
+        evs: impl IntoIterator<Item = E>,
+    ) {
+        debug_assert!(
+            ramp.windows(2).all(|w| w[0] <= w[1]),
+            "ramp must not decrease"
+        );
+        let times = || {
+            trains
+                .iter()
+                .flat_map(|&(base, len)| ramp[..len as usize].iter().map(move |&r| base + r))
+        };
+        let mut evs = evs.into_iter();
+        if !self.is_empty() {
+            for at in times() {
+                self.push(at, evs.next().expect("a payload for every event"));
+            }
+            assert!(evs.next().is_none(), "more payloads than events");
+            return;
+        }
+        let (mut n, mut lo, mut hi) = (0, Ps(u64::MAX), Ps::ZERO);
+        for &(base, len) in trains.iter().filter(|t| t.1 > 0) {
+            n += len as usize;
+            lo = lo.min(base + ramp[0]);
+            hi = hi.max(base + ramp[len as usize - 1]);
+        }
+        // At least n / 2 buckets, each 2^shift ps wide, span the run.
+        let buckets = (n / 2).next_power_of_two();
+        let shift = u64::BITS - ((hi.0.saturating_sub(lo.0)) / buckets as u64).leading_zeros();
+        let bucket = |at: Ps| (at - lo).0.checked_shr(shift).unwrap_or(0) as usize;
+        self.counts.clear();
+        self.counts.resize(buckets + 1, 0);
+        for at in times() {
+            self.counts[bucket(at) + 1] += 1;
+        }
+        let fullest = self.counts.iter().copied().max().unwrap_or(0);
+        let mut start = 0;
+        for c in &mut self.counts {
+            start += *c;
+            *c = start;
+        }
+        // The queue is empty, so every slab entry is free: the run takes
+        // entries `0..n`, each written once below, and the rest are fresh.
+        assert!(n < NIL as usize, "too many pending events");
+        if self.slab.len() < n {
+            self.slab.resize_with(n, || Slot {
+                at: Ps::ZERO,
+                next: NIL,
+                ev: None,
+            });
+        }
+        for at in times() {
+            let ev = evs.next().expect("a payload for every event");
+            let slot = &mut self.counts[bucket(at)];
+            let entry = &mut self.slab[*slot as usize];
+            entry.at = at;
+            entry.ev = Some(ev);
+            *slot += 1;
+        }
+        assert!(evs.next().is_none(), "more payloads than events");
+        let run = &mut self.slab[..n];
+        if fullest > RUN_BUCKET_MAX {
+            run.sort_by_key(|e| e.at);
+        } else {
+            for k in 1..n {
+                let mut j = k;
+                while j > 0 && run[j - 1].at > run[j].at {
+                    run.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+        }
+        (self.free, self.fresh) = (NIL, n as u32);
+        (self.run, self.run_end) = (0, n as u32);
     }
 
-    pub fn clear(&mut self) {
-        self.slab.clear();
-        self.head = [NIL; BUCKETS];
-        self.nonempty = 0;
-        self.last = Ps::ZERO;
-        self.free = NIL;
-        self.len = 0;
+    /// The earliest time in the radix buckets, if any.
+    #[inline]
+    fn radix_min(&self) -> Option<Ps> {
+        if self.head[0] != NIL {
+            Some(self.last)
+        } else if self.nonempty != 0 {
+            Some(self.min[self.lowest()])
+        } else {
+            None
+        }
     }
 
     /// The lowest non-empty bucket above 0; `nonempty` must be non-zero.
@@ -254,14 +397,48 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn is_empty_sees_the_buckets_and_the_run() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(Ps(7), 'a');
         q.push(Ps(3), 'b');
-        assert_eq!(q.len(), 2);
-        q.clear();
+        assert!(!q.is_empty());
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
+        q.hand_over(&[(Ps(9), 2)], &[Ps(0), Ps(4)], ['c', 'd']);
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((Ps(9), 'c')));
+        assert_eq!(q.pop(), Some((Ps(13), 'd')));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_run_pops_before_later_pushes_at_its_times() {
+        let mut q = EventQueue::new();
+        // Trains interleave and tie: 10, 12, 12 and 11, 13, 13 and 10.
+        q.hand_over(
+            &[(Ps(10), 3), (Ps(11), 3), (Ps(10), 1)],
+            &[Ps(0), Ps(2), Ps(2)],
+            ["a0", "a1", "a2", "b0", "b1", "b2", "c0"],
+        );
+        q.push(Ps(10), "p");
+        // Pending besides the run: the batch is pushed entry by entry.
+        q.hand_over(&[(Ps(11), 2)], &[Ps(0), Ps(1)], ["d0", "d1"]);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want = [
+            (10, "a0"),
+            (10, "c0"),
+            (10, "p"),
+            (11, "b0"),
+            (11, "d0"),
+            (12, "a1"),
+            (12, "a2"),
+            (12, "d1"),
+            (13, "b1"),
+            (13, "b2"),
+        ];
+        assert_eq!(order, want.map(|(t, e)| (Ps(t), e)));
     }
 
     #[test]
@@ -325,14 +502,14 @@ mod tests {
 
         // Engine-shaped rounds on the same model: trains of wakes 2^20–2^27
         // ps past the time of the last pop, equal-time bursts at it, pushes
-        // before it, and `clear()` with reuse halfway, with `len` and the
-        // bucket layout checked after every operation. The bases put the
-        // times in low and middle bits, across 2^63 and near the top of the
-        // range.
+        // before it, and releases handed over at times 2^20–2^27 ps ahead,
+        // with the entry count and the bucket layout checked after
+        // every operation. The bases put the times in low and middle bits,
+        // across 2^63 and near the top of the range.
         let bases = [0, 1 << 40, (1 << 63) - (1 << 30), u64::MAX - (1 << 48)];
         for (round, base) in bases.into_iter().cycle().take(16).enumerate() {
             let mut r = Replay::new(Ps(base));
-            let mut early = 0;
+            let (mut early, mut runs) = (0, 0);
             for op in 0..3000 {
                 r.ctx = format!("round {round} op {op}");
                 let now = r.now;
@@ -349,8 +526,17 @@ mod tests {
                     }
                     _ => Vec::new(),
                 };
-                if op == 1500 {
-                    r.clear();
+                // Every 250th operation drains the queue first, so the batch
+                // becomes the run; the others find events pending.
+                let drain = op % 250 == 249;
+                if drain || rng() % 64 == 0 {
+                    if drain {
+                        r.drain();
+                    }
+                    let ahead = (1 << (20 + rng() % 8)) + rng() % (1 << 20);
+                    let (trains, ramp) = release(&mut rng, now + Ps(ahead), 1 << 16);
+                    runs += r.model.is_empty() as u32;
+                    r.hand_over(&trains, &ramp);
                 } else if !times.is_empty() {
                     times.into_iter().for_each(|t| r.push(t));
                 } else {
@@ -359,6 +545,46 @@ mod tests {
             }
             r.drain();
             assert!(early > 0, "round {round} never pushed before the last pop");
+            assert!(runs > 0, "round {round} never handed over a run");
+        }
+
+        // Hand-over rounds: batches of interleaving trains on a ramp with
+        // equal steps, at bases that tie each other and the time of the last
+        // pop, pushes at the same few times, pops between and a drain every
+        // 300 operations. Batches that find the queue empty become the run;
+        // the rest are pushed one by one. Every 8th batch bunches
+        // its events at two times 2^40 ps apart, so its fullest bucket
+        // overflows and the stable sort orders the run.
+        for round in 0..24 {
+            let mut r = Replay::new(Ps(rng() % (1 << 50)));
+            let (mut runs, mut pushed, mut bunched) = (0, 0, 0);
+            for op in 0..1500 {
+                r.ctx = format!("hand-over round {round} op {op}");
+                if op % 300 == 299 {
+                    r.drain();
+                }
+                let now = r.now;
+                match rng() % 8 {
+                    0 if r.model.is_empty() || rng() % 3 == 0 => {
+                        let (trains, ramp) = if (runs + pushed) % 8 == 7 {
+                            bunched += 1;
+                            bunch(&mut rng, now)
+                        } else {
+                            release(&mut rng, now, 8)
+                        };
+                        if r.model.is_empty() {
+                            runs += 1;
+                        } else {
+                            pushed += 1;
+                        }
+                        r.hand_over(&trains, &ramp);
+                    }
+                    1..=3 => (0..=rng() % 3).for_each(|_| r.push(now + Ps(rng() % 24))),
+                    _ => r.pop(),
+                }
+            }
+            r.drain();
+            assert!(runs > 0 && pushed > 0 && bunched > 0, "{}", r.ctx);
         }
 
         // Rounds whose pushes differ from the time of the last pop in one
@@ -423,14 +649,47 @@ mod tests {
         }
     }
 
+    /// Up to 12 trains of up to 12 events from `base`: bases step by 0–3
+    /// ps, or by up to `spread` ps, and the ramp steps by 0, 0, 1 or 5 ps, so
+    /// the trains interleave and many events share a time.
+    fn release(rng: &mut impl FnMut() -> u64, base: Ps, spread: u64) -> (Vec<(Ps, u32)>, Vec<Ps>) {
+        let width = 1 + rng() % 12;
+        let mut ramp = vec![Ps(rng() % 2)];
+        for _ in 1..width {
+            let step = [0, 0, 1, 5][rng() as usize % 4];
+            ramp.push(*ramp.last().unwrap() + Ps(step));
+        }
+        let mut at = base;
+        let trains = (0..=rng() % 12)
+            .map(|_| {
+                let step = if rng().is_multiple_of(2) { 4 } else { spread };
+                at += Ps(rng() % step);
+                (at, (rng() % (width + 1)) as u32)
+            })
+            .collect();
+        (trains, ramp)
+    }
+
+    /// Up to 200 events at `now` and `now + 2^40` ps: more in one bucket
+    /// than [`RUN_BUCKET_MAX`].
+    fn bunch(rng: &mut impl FnMut() -> u64, now: Ps) -> (Vec<(Ps, u32)>, Vec<Ps>) {
+        let trains = (0..4 + rng() % 6)
+            .map(|_| (now + Ps((rng() % 2) << 40), 1 + (rng() % 20) as u32))
+            .collect();
+        (trains, vec![Ps::ZERO; 20])
+    }
+
     /// The queue beside a model of its contract: a list of `(time, id)` in
-    /// push order, whose pop takes the first entry of the earliest time.
-    /// Every operation checks `len` and the bucket layout afterwards, and
-    /// every pop its result.
+    /// push order, whose pop takes the first entry of the earliest time; a
+    /// hand-over appends its events in train order. Every operation checks
+    /// the pending entry count and the bucket layout afterwards, and every
+    /// pop its result.
     struct Replay {
         q: EventQueue<u64>,
         model: Vec<(Ps, u64)>,
         next_id: u64,
+        /// Most entries pending at once so far.
+        high: usize,
         /// Time of the last pop.
         now: Ps,
         /// Where a failed check happened.
@@ -443,6 +702,7 @@ mod tests {
                 q: EventQueue::new(),
                 model: Vec::new(),
                 next_id: 0,
+                high: 0,
                 now,
                 ctx: String::new(),
             }
@@ -470,9 +730,15 @@ mod tests {
             self.check();
         }
 
-        fn clear(&mut self) {
-            self.q.clear();
-            self.model.clear();
+        fn hand_over(&mut self, trains: &[(Ps, u32)], ramp: &[Ps]) {
+            let first = self.next_id;
+            for &(base, len) in trains {
+                for &r in &ramp[..len as usize] {
+                    self.model.push((base + r, self.next_id));
+                    self.next_id += 1;
+                }
+            }
+            self.q.hand_over(trains, ramp, first..self.next_id);
             self.check();
         }
 
@@ -483,16 +749,24 @@ mod tests {
             assert_eq!(self.q.pop(), None, "{}", self.ctx);
         }
 
-        fn check(&self) {
-            assert_eq!(self.q.len(), self.model.len(), "{}", self.ctx);
-            assert_buckets(&self.q, &self.ctx);
+        fn check(&mut self) {
+            let linked = assert_buckets(&self.q, &self.ctx);
+            let run = (self.q.run_end - self.q.run) as usize;
+            assert_eq!(linked + run, self.model.len(), "{}", self.ctx);
+            // The slab grows only when every entry is pending.
+            self.high = self.high.max(self.model.len());
+            assert!(
+                self.q.slab.len() <= self.high,
+                "{}: slab past its high-water mark",
+                self.ctx
+            );
         }
     }
 
     /// Every pending entry sits in the bucket the rule names for its time
-    /// and `last`, each bucket's mask bit and minimum match its list, and
-    /// the lists hold `len` entries.
-    fn assert_buckets<E>(q: &EventQueue<E>, ctx: &str) {
+    /// and `last`, and each bucket's mask bit and minimum match its list.
+    /// Returns the number of linked entries.
+    fn assert_buckets<E>(q: &EventQueue<E>, ctx: &str) -> usize {
         let last = q.last.0;
         let mut linked = 0;
         for b in 0..BUCKETS {
@@ -519,6 +793,6 @@ mod tests {
                 assert_eq!(q.min[b], Ps(min), "{ctx}: minimum of bucket {b}");
             }
         }
-        assert_eq!(linked, q.len, "{ctx}: linked entries");
+        linked
     }
 }
