@@ -1,9 +1,10 @@
 //! Process-wide fault seed for the chaos experiments.
 //!
-//! `repro --faults SEED` sets it; fault-driven experiments (currently
-//! `sync_resilience`) read it when building their [`gpu_sim::FaultPlan`]s.
-//! The default matches the CI chaos-smoke job, so a bare `repro
-//! sync_resilience` reproduces the checked-in behaviour.
+//! `repro --faults SEED` sets it; the fault-driven experiments,
+//! `sync_resilience` and `sync_recovery`, read it when building their
+//! [`gpu_sim::FaultPlan`]s (and `sync_recovery` its recovery policy's
+//! backoff seed). The default matches the CI chaos-smoke job, so a bare
+//! `repro sync_resilience` reproduces the checked-in behaviour.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -52,6 +52,31 @@ fn kernel_total_latency(
     Ok(stats)
 }
 
+/// Eq. 7's per-op latency and Eq. 8's propagated sigma, in device cycles:
+/// `trials` host-timed runs on `sys` of the `mk(r1)` launch, then of the
+/// `mk(r2)` one.
+fn differential(
+    sys: GpuSystem,
+    mk: impl Fn(u64) -> GridLaunch,
+    r1: u64,
+    r2: u64,
+    trials: u32,
+) -> SimResult<InterSmMeasurement> {
+    let mut h = HostSim::new(sys);
+    let s1 = kernel_total_latency(&mut h, &mk(r1), trials)?;
+    let s2 = kernel_total_latency(&mut h, &mk(r2), trials)?;
+    let ns_per_cycle = 1e3 / h.sys.arch.clock().mhz();
+    let latency_ns = (s1.mean() - s2.mean()) / (r1 - r2) as f64;
+    let sigma_ns = propagate_difference_quotient(s1.stddev(), s2.stddev(), r1, r2);
+    Ok(InterSmMeasurement {
+        latency_cycles: latency_ns / ns_per_cycle,
+        sigma_cycles: sigma_ns / ns_per_cycle,
+        r1,
+        r2,
+        trials,
+    })
+}
+
 /// Measure one synchronization op's latency with the inter-SM method.
 ///
 /// `grid_dim`/`block_dim` choose the configuration under test; `r1 > r2` are
@@ -69,8 +94,6 @@ pub fn measure_inter_sm(
     trials: u32,
 ) -> SimResult<InterSmMeasurement> {
     assert!(r1 > r2, "repeat counts must differ (r1 > r2)");
-    let sys = GpuSystem::new(arch.clone(), topology);
-    let mut h = HostSim::new(sys);
     let mk = |reps: u64| GridLaunch {
         kernel: kernels::sync_throughput(op, reps as usize),
         grid_dim,
@@ -80,20 +103,7 @@ pub fn measure_inter_sm(
         params: vec![vec![]; devices.len()],
         checked: false,
     };
-    let l1 = mk(r1);
-    let l2 = mk(r2);
-    let s1 = kernel_total_latency(&mut h, &l1, trials)?;
-    let s2 = kernel_total_latency(&mut h, &l2, trials)?;
-    let ns_per_cycle = 1e3 / arch.clock().mhz();
-    let latency_ns = (s1.mean() - s2.mean()) / (r1 - r2) as f64;
-    let sigma_ns = propagate_difference_quotient(s1.stddev(), s2.stddev(), r1, r2);
-    Ok(InterSmMeasurement {
-        latency_cycles: latency_ns / ns_per_cycle,
-        sigma_cycles: sigma_ns / ns_per_cycle,
-        r1,
-        r2,
-        trials,
-    })
+    differential(GpuSystem::new(arch.clone(), topology), mk, r1, r2, trials)
 }
 
 /// §IX-D's cross-validation: the inter-SM method must agree with Wong's
@@ -102,9 +112,7 @@ pub fn measure_inter_sm(
 pub fn validate_against_fadd(arch: &GpuArch) -> SimResult<(InterSmMeasurement, f64)> {
     let arch1 = one_sm(arch);
     // Inter-SM: two fadd32 burst kernels timed from the host.
-    let sys = GpuSystem::single(arch1.clone());
-    let mut h = HostSim::new(sys);
-    let mk = |reps: usize| {
+    let mk = |reps: u64| {
         let mut b = gpu_sim::KernelBuilder::new("fadd-burst");
         let acc = b.reg();
         b.mov(acc, gpu_sim::fimm(1.0));
@@ -114,18 +122,7 @@ pub fn validate_against_fadd(arch: &GpuArch) -> SimResult<(InterSmMeasurement, f
         b.exit();
         GridLaunch::single(b.build(0), 1, 32, vec![])
     };
-    let (r1, r2, trials) = (16384u64, 2048u64, 16);
-    let s1 = kernel_total_latency(&mut h, &mk(r1 as usize), trials)?;
-    let s2 = kernel_total_latency(&mut h, &mk(r2 as usize), trials)?;
-    let ns_per_cycle = 1e3 / arch.clock().mhz();
-    let inter = InterSmMeasurement {
-        latency_cycles: (s1.mean() - s2.mean()) / (r1 - r2) as f64 / ns_per_cycle,
-        sigma_cycles: propagate_difference_quotient(s1.stddev(), s2.stddev(), r1, r2)
-            / ns_per_cycle,
-        r1,
-        r2,
-        trials,
-    };
+    let inter = differential(GpuSystem::single(arch1.clone()), mk, 16384, 2048, 16)?;
     // Wong's method on the same instruction.
     let mut sys = GpuSystem::single(arch1);
     let out = sys.alloc(0, 32);

@@ -81,7 +81,7 @@ fn small_arch() -> GpuArch {
     arch
 }
 
-/// The policy under test: default retry/eviction budget, seeded backoff
+/// The policy under test: the fixed retry/eviction budget, seeded backoff
 /// jitter, and — for the transient class — the plan armed only on the
 /// first attempt.
 pub fn policy_for(seed: u64, transient: bool) -> RecoveryPolicy {

@@ -307,7 +307,7 @@ mod tests {
         );
         match sys.execute(&launch, &RunOptions::new()) {
             Err(sim_core::SimError::Deadlock { .. }) => {}
-            Err(sim_core::SimError::ProgramError(_)) => {} // spin-forever guard
+            Err(sim_core::SimError::InstrLimit { .. }) => {} // spin-forever guard
             other => panic!("expected deadlock, got {other:?}"),
         }
     }

@@ -6,8 +6,6 @@
 //! threads with OpenMP-style barriers, peer copies, and jittered host
 //! timestamps for the uncertainty analysis of §IX-D.
 
-pub mod events;
 pub mod host;
 
-pub use events::{Event, EventId, Events};
 pub use host::{HostSim, LaunchArtifacts, LaunchRecord};

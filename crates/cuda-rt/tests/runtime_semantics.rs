@@ -1,89 +1,39 @@
-//! Host-runtime semantics: transfers, events, stream composition.
+//! Host-runtime semantics: peer copies and stream composition.
 
-use cuda_rt::{Events, HostSim};
+use cuda_rt::HostSim;
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::{kernels, GpuSystem, GridLaunch, RunOptions};
 
-fn host() -> HostSim {
+fn v100_small() -> GpuArch {
     let mut a = GpuArch::v100();
     a.num_sms = 2;
-    HostSim::new(GpuSystem::single(a)).without_jitter()
+    a
 }
 
-#[test]
-fn h2d_then_d2h_round_trips() {
-    let mut h = host();
-    let buf = h.sys.alloc(0, 8);
-    let vals = [1.5, -2.0, 3.25, 0.0];
-    h.memcpy_h2d(0, buf, 2, &vals).unwrap();
-    let back = h.memcpy_d2h(0, buf, 2, 4).unwrap();
-    assert_eq!(back, vals);
-    // Untouched words stay zero.
-    assert_eq!(h.memcpy_d2h(0, buf, 0, 2).unwrap(), vec![0.0, 0.0]);
+fn host() -> HostSim {
+    HostSim::new(GpuSystem::single(v100_small())).without_jitter()
 }
 
-#[test]
-fn h2d_charges_pcie_time() {
-    let mut h = host();
-    let n = 1 << 20; // 8 MiB
-    let buf = h.sys.alloc(0, n);
-    let vals = vec![1.0f64; n as usize];
-    let t0 = h.now(0);
-    h.memcpy_h2d(0, buf, 0, &vals).unwrap();
-    let took = (h.now(0) - t0).as_us();
-    // 8 MiB over ~11.8 GB/s PCIe ≈ 711 us.
-    assert!((took - 711.0).abs() < 40.0, "h2d took {took} us");
-}
-
-#[test]
-fn h2d_bounds_are_checked() {
-    let mut h = host();
-    let buf = h.sys.alloc(0, 4);
-    assert!(h.memcpy_h2d(0, buf, 2, &[1.0, 2.0, 3.0]).is_err());
-    assert!(h.memcpy_d2h(0, buf, 3, 2).is_err());
+fn dgx1_host() -> HostSim {
+    HostSim::new(GpuSystem::new(v100_small(), NodeTopology::dgx1_v100())).without_jitter()
 }
 
 #[test]
 fn memcpy_synchronizes_with_the_stream() {
-    // A copy issued after a kernel must wait for the kernel.
-    let mut h = host();
-    let buf = h.sys.alloc(0, 1);
-    let l = GridLaunch::single(kernels::sleep_kernel(100_000), 1, 32, vec![]);
-    h.launch(0, &l, &RunOptions::new()).unwrap();
-    h.memcpy_h2d(0, buf, 0, &[1.0]).unwrap();
-    assert!(h.now(0).as_us() >= 100.0);
-}
-
-#[test]
-fn events_bracket_kernels_on_different_devices() {
-    let mut a = GpuArch::v100();
-    a.num_sms = 2;
-    let sys = GpuSystem::new(a, NodeTopology::dgx1_v100());
-    let mut h = HostSim::new(sys).without_jitter();
-    let mut ev = Events::new();
-    let s0 = ev.record(&h, 0);
-    let s1 = ev.record(&h, 1);
-    h.launch(
-        0,
-        &GridLaunch::single(kernels::sleep_kernel(30_000), 1, 32, vec![]).on_device(0),
-        &RunOptions::new(),
-    )
-    .unwrap();
-    h.launch(
-        0,
-        &GridLaunch::single(kernels::sleep_kernel(90_000), 1, 32, vec![]).on_device(1),
-        &RunOptions::new(),
-    )
-    .unwrap();
-    let e0 = ev.record(&h, 0);
-    let e1 = ev.record(&h, 1);
-    let ms0 = ev.elapsed_ms(s0, e0).unwrap();
-    let ms1 = ev.elapsed_ms(s1, e1).unwrap();
-    assert!(
-        ms1 > 2.0 * ms0,
-        "per-device events mixed up: {ms0} vs {ms1}"
-    );
+    // A peer copy issued after a kernel must wait for the kernel, on the
+    // source stream and on the destination stream alike.
+    for kernel_dev in [0, 1] {
+        let mut h = dgx1_host();
+        let src = h.sys.alloc_f64(0, &[1.0]);
+        let dst = h.sys.alloc(1, 1);
+        let l =
+            GridLaunch::single(kernels::sleep_kernel(100_000), 1, 32, vec![]).on_device(kernel_dev);
+        h.launch(0, &l, &RunOptions::new()).unwrap();
+        h.memcpy_peer(0, dst, src, 1).unwrap();
+        assert!(h.now(0).as_us() >= 100.0, "kernel on GPU {kernel_dev}");
+        assert_eq!(h.sys.read_f64(dst), vec![1.0]);
+    }
 }
 
 #[test]

@@ -113,7 +113,6 @@ impl GpuArch {
                 omp_barrier_per_thread_ns: 170,
                 multi_gate_per_gpu_ns: 9420,
                 stream_pipeline_interval_ns: 3000,
-                h2d_gbs: 11.8,
                 host_timer_jitter_ns: 30.0,
             },
         }
@@ -190,7 +189,6 @@ impl GpuArch {
                 omp_barrier_per_thread_ns: 180,
                 multi_gate_per_gpu_ns: 9500,
                 stream_pipeline_interval_ns: 3200,
-                h2d_gbs: 11.3,
                 host_timer_jitter_ns: 35.0,
             },
         }

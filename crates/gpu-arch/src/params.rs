@@ -181,8 +181,6 @@ pub struct HostParams {
     /// (§IX-B's warning; ~3 µs, matching Volkov's best-case null-kernel
     /// overhead).
     pub stream_pipeline_interval_ns: u64,
-    /// Host↔device copy bandwidth over PCIe, GB/s.
-    pub h2d_gbs: f64,
     /// 1-sigma Gaussian jitter applied to host-side timestamps, ns.
     pub host_timer_jitter_ns: f64,
 }

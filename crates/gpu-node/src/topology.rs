@@ -258,19 +258,6 @@ impl NodeTopology {
             LinkClass::Far => self.far_bw_gbs,
         }
     }
-
-    /// Total extra cost of one multi-grid barrier phase pair (arrive +
-    /// release) across `gpus`, relative to local grid barriers, with `master`
-    /// coordinating: 2×(slowest flag) + sum of per-GPU arrival serialization.
-    pub fn mgrid_exchange_cost(&self, master: usize, gpus: &[usize]) -> Ps {
-        let max_flag = gpus
-            .iter()
-            .map(|&g| self.flag_latency(master, g))
-            .max()
-            .unwrap_or(Ps::ZERO);
-        let serial: Ps = gpus.iter().map(|&g| self.arrival_serial(master, g)).sum();
-        max_flag * 2 + serial
-    }
 }
 
 #[cfg(test)]
@@ -321,24 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn mgrid_exchange_jumps_when_far_gpu_joins() {
-        let t = NodeTopology::dgx1_v100();
-        let five = t.mgrid_exchange_cost(0, &[1, 2, 3, 4]);
-        let six = t.mgrid_exchange_cost(0, &[1, 2, 3, 4, 5]);
-        // 2-5 GPUs all near: adding GPU 5 (far) should more than double cost.
-        assert!(six.as_us() > 2.0 * five.as_us(), "{} vs {}", six, five);
-    }
-
-    #[test]
-    fn mgrid_exchange_flat_growth_within_quad() {
-        let t = NodeTopology::dgx1_v100();
-        let two = t.mgrid_exchange_cost(0, &[1]);
-        let five = t.mgrid_exchange_cost(0, &[1, 2, 3, 4]);
-        // Growth within the quad is only the per-GPU serialization.
-        assert!((five.as_us() - two.as_us()) < 1.0);
-    }
-
-    #[test]
     fn p100_pair_is_symmetric_pcie() {
         let t = NodeTopology::p100_pair();
         assert_eq!(t.link(0, 1), LinkClass::Near);
@@ -361,7 +330,6 @@ mod tests {
     fn single_node_is_trivial() {
         let t = NodeTopology::single();
         assert_eq!(t.num_gpus, 1);
-        assert_eq!(t.mgrid_exchange_cost(0, &[]), Ps::ZERO);
     }
 
     #[test]

@@ -395,10 +395,6 @@ struct FaultState {
     degraded: Option<Arc<NodeTopology>>,
     /// Sorted `(rank, block_on_device)` kill list.
     killed: Vec<(u32, u32)>,
-    /// Counter feeding the barrier-delay draws. The engine's event
-    /// processing order is deterministic, so the counter sequence — and
-    /// every draw — replays identically across runs and `--jobs`.
-    barrier_draws: u64,
 }
 
 /// Accumulating profile state (see [`crate::profile`]).
@@ -585,7 +581,6 @@ impl<'a> Engine<'a> {
                     )
                 }),
                 killed,
-                barrier_draws: 0,
             }
         });
         let arch = sys.arch.clone();
@@ -665,11 +660,10 @@ impl<'a> Engine<'a> {
     }
 
     fn instr_limit_error(&self) -> SimError {
-        let limit = self.sys.instr_limit;
-        SimError::ProgramError(format!(
-            "kernel {:?} exceeded {limit} instructions — non-terminating?",
-            self.launch.kernel.name
-        ))
+        SimError::InstrLimit {
+            kernel: self.launch.kernel.name.clone(),
+            limit: self.sys.instr_limit,
+        }
     }
 
     /// Multi-grid release times from every rank's local arrival time — the
@@ -819,8 +813,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Scale a step's completion time by the warp's fault multiplier
-    /// (straggler jitter x SM throttle). Identity without an armed plan.
+    /// Scale a step's completion time by the warp's straggler multiplier.
+    /// Identity without an armed plan.
     #[inline]
     fn fault_scaled(&self, w: u32, done: Ps) -> Ps {
         if self.fault.is_none() {
@@ -833,13 +827,12 @@ impl<'a> Engine<'a> {
         self.now + Ps((done - self.now).0.saturating_mul(m as u64) / 1000)
     }
 
-    /// Per-warp fault multiplier, drawn from the plan's seed and the warp's
+    /// Per-warp straggler multiplier, drawn from the plan's seed and the warp's
     /// stable coordinates — never from execution order.
-    fn fault_warp_mult(&self, rank: u32, block_on_device: u32, wi: u32, sm: u32) -> u32 {
+    fn fault_warp_mult(&self, rank: u32, block_on_device: u32, wi: u32) -> u32 {
         let Some(f) = &self.fault else { return 1000 };
         let p = &f.plan;
-        let mut m = 1000u64;
-        if p.straggler_permille > 0
+        let straggles = p.straggler_permille > 0
             && fault::mix(
                 p.seed,
                 &[
@@ -849,17 +842,12 @@ impl<'a> Engine<'a> {
                     wi as u64,
                 ],
             ) % 1000
-                < p.straggler_permille as u64
-        {
-            m = m * p.straggler_mult_permille as u64 / 1000;
+                < p.straggler_permille as u64;
+        if straggles {
+            p.straggler_mult_permille.max(1)
+        } else {
+            1000
         }
-        if p.sm_throttle_permille > 0
-            && fault::mix(p.seed, &[fault::TAG_SM_THROTTLE, rank as u64, sm as u64]) % 1000
-                < p.sm_throttle_permille as u64
-        {
-            m = m * p.sm_throttle_mult_permille as u64 / 1000;
-        }
-        m.clamp(1, u32::MAX as u64) as u32
     }
 
     /// Whether the plan kills `gb`'s arrival at grid-level barriers.
@@ -870,26 +858,6 @@ impl<'a> Engine<'a> {
         }
         let b = &self.blocks[gb as usize];
         f.killed.binary_search(&(b.rank, b.block_on_device)).is_ok()
-    }
-
-    /// Extra delay for a barrier arrival drawn from the plan (counter-based,
-    /// so the draw sequence replays identically).
-    fn fault_barrier_delay(&mut self) -> Ps {
-        let Some(f) = &mut self.fault else {
-            return Ps::ZERO;
-        };
-        let p = &f.plan;
-        if p.barrier_delay_permille == 0 || p.barrier_delay_ns == 0 {
-            return Ps::ZERO;
-        }
-        f.barrier_draws += 1;
-        if fault::mix(p.seed, &[fault::TAG_BARRIER_DELAY, f.barrier_draws]) % 1000
-            < p.barrier_delay_permille as u64
-        {
-            Ps::from_ns(p.barrier_delay_ns)
-        } else {
-            Ps::ZERO
-        }
     }
 
     /// The interconnect the run sees: the plan's degraded copy when links
@@ -1054,7 +1022,7 @@ impl<'a> Engine<'a> {
                 sched: (rank * self.arch.num_sms + sm) * self.arch.schedulers_per_sm
                     + wi % self.arch.schedulers_per_sm,
                 warp_in_block: wi,
-                mult_permille: self.fault_warp_mult(rank, block_on_device, wi, sm),
+                mult_permille: self.fault_warp_mult(rank, block_on_device, wi),
                 wb_width: 0,
                 blk_kind: BlockWaitKind::None,
                 converged: true,
@@ -2578,7 +2546,7 @@ impl<'a> Engine<'a> {
         let arrival = self.devs[rank].sms[sm]
             .barrier_unit
             .issue(self.now, arr_int, Ps::ZERO);
-        let arr_done = arrival.start + arr_int + self.fault_barrier_delay();
+        let arr_done = arrival.start + arr_int;
         let b = &mut self.blocks[block as usize];
         b.bar_arrived += 1;
         b.bar_waiting.push(w);

@@ -1,9 +1,10 @@
 //! Deterministic fault injection: the `syncfault` layer.
 //!
 //! A [`FaultPlan`] is a seeded, serializable description of how a run should
-//! be perturbed — which warps straggle, which SMs are throttled, how the
-//! inter-device links are degraded, which barrier arrivals are delayed, and
-//! which blocks never reach their grid-level barrier. Arm it through
+//! be perturbed — which warps straggle, how the inter-device links are
+//! degraded or flap, and which blocks never reach their grid-level barrier.
+//! `sync_resilience` injects stragglers and degraded or flapping links;
+//! `sync_recovery` kills blocks. Arm it through
 //! [`crate::RunOptions::faults`]; the engine derives every decision from the
 //! plan's seed with counter-based hashing (never from execution order), so a
 //! faulted run is byte-deterministic across `--jobs` values and replays.
@@ -20,7 +21,8 @@ use serde::{Deserialize, Serialize};
 /// Identity latency multiplier (1.0× in permille fixed-point).
 pub const IDENT_PERMILLE: u32 = 1000;
 
-/// A seeded, serializable description of the faults to inject into one run.
+/// A seeded, serializable description of the faults to inject into one run:
+/// straggling warps, degraded or flapping links, and killed blocks.
 ///
 /// ```
 /// use gpu_sim::FaultPlan;
@@ -40,10 +42,6 @@ pub struct FaultPlan {
     /// Latency multiplier (permille) on every step of a straggler warp —
     /// instruction and memory latencies alike.
     pub straggler_mult_permille: u32,
-    /// Probability (permille) that an SM's clock is throttled.
-    pub sm_throttle_permille: u16,
-    /// Latency multiplier (permille) on every warp of a throttled SM.
-    pub sm_throttle_mult_permille: u32,
     /// Multiplier (permille) on inter-device flag latency and arrival
     /// serialization (NVLink/PCIe path degradation).
     pub link_latency_mult_permille: u32,
@@ -54,10 +52,6 @@ pub struct FaultPlan {
     /// waits it out. 0 disables.
     pub flap_period_ns: u64,
     pub flap_down_ns: u64,
-    /// Probability (permille) that a block-level barrier arrival is delayed.
-    pub barrier_delay_permille: u16,
-    /// Extra delay (ns) charged to each delayed barrier arrival.
-    pub barrier_delay_ns: u64,
     /// `(rank, block_on_device)` pairs that never reach a grid or multi-grid
     /// barrier — the paper's §VIII-B partial-arrival hang, on demand. The
     /// queue drains and the run returns [`sim_core::SimError::Deadlock`].
@@ -77,14 +71,10 @@ impl FaultPlan {
             seed,
             straggler_permille: 0,
             straggler_mult_permille: IDENT_PERMILLE,
-            sm_throttle_permille: 0,
-            sm_throttle_mult_permille: IDENT_PERMILLE,
             link_latency_mult_permille: IDENT_PERMILLE,
             link_bw_mult_permille: IDENT_PERMILLE,
             flap_period_ns: 0,
             flap_down_ns: 0,
-            barrier_delay_permille: 0,
-            barrier_delay_ns: 0,
             killed_blocks: Vec::new(),
         }
     }
@@ -94,14 +84,6 @@ impl FaultPlan {
     pub fn stragglers(mut self, permille: u16, mult_permille: u32) -> FaultPlan {
         self.straggler_permille = permille;
         self.straggler_mult_permille = mult_permille;
-        self
-    }
-
-    /// Throttle each SM with probability `permille`/1000; every warp on a
-    /// throttled SM runs `mult_permille`/1000 times slower.
-    pub fn sm_throttle(mut self, permille: u16, mult_permille: u32) -> FaultPlan {
-        self.sm_throttle_permille = permille;
-        self.sm_throttle_mult_permille = mult_permille;
         self
     }
 
@@ -122,14 +104,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delay each block-level barrier arrival by `delay_ns` with probability
-    /// `permille`/1000.
-    pub fn delay_barriers(mut self, permille: u16, delay_ns: u64) -> FaultPlan {
-        self.barrier_delay_permille = permille;
-        self.barrier_delay_ns = delay_ns;
-        self
-    }
-
     /// Block `block` of device rank `rank` never arrives at a grid or
     /// multi-grid barrier.
     pub fn kill_block(mut self, rank: u32, block: u32) -> FaultPlan {
@@ -142,11 +116,9 @@ impl FaultPlan {
     /// byte-identical to an unarmed run — pinned by the golden tests.
     pub fn is_zero(&self) -> bool {
         (self.straggler_permille == 0 || self.straggler_mult_permille == IDENT_PERMILLE)
-            && (self.sm_throttle_permille == 0 || self.sm_throttle_mult_permille == IDENT_PERMILLE)
             && self.link_latency_mult_permille == IDENT_PERMILLE
             && self.link_bw_mult_permille == IDENT_PERMILLE
             && (self.flap_period_ns == 0 || self.flap_down_ns == 0)
-            && (self.barrier_delay_permille == 0 || self.barrier_delay_ns == 0)
             && self.killed_blocks.is_empty()
     }
 
@@ -174,11 +146,6 @@ impl FaultPlan {
             1,
         );
         arm(
-            self.sm_throttle_permille > 0 && self.sm_throttle_mult_permille != IDENT_PERMILLE,
-            "sm-throttle",
-            1,
-        );
-        arm(
             self.link_latency_mult_permille != IDENT_PERMILLE,
             "link-latency",
             1,
@@ -191,11 +158,6 @@ impl FaultPlan {
         arm(
             self.flap_period_ns > 0 && self.flap_down_ns > 0,
             "link-flaps",
-            1,
-        );
-        arm(
-            self.barrier_delay_permille > 0 && self.barrier_delay_ns > 0,
-            "barrier-delays",
             1,
         );
         arm(
@@ -254,11 +216,10 @@ pub fn mix(seed: u64, parts: &[u64]) -> u64 {
 
 /// Domain tags for [`mix`], so draws of different fault kinds never collide.
 pub(crate) const TAG_STRAGGLER: u64 = 1;
-pub(crate) const TAG_SM_THROTTLE: u64 = 2;
-pub(crate) const TAG_BARRIER_DELAY: u64 = 3;
 /// Retry-backoff jitter draws of [`crate::recover`], keyed on the attempt
 /// counter — never on execution order — so retry schedules are
-/// byte-identical at any `--jobs` value.
+/// byte-identical at any `--jobs` value. The value feeds every backoff
+/// draw, so changing it changes every recovery cost `sync_recovery` reports.
 pub(crate) const TAG_RETRY_BACKOFF: u64 = 4;
 
 #[cfg(test)]
@@ -272,14 +233,11 @@ mod tests {
         assert!(FaultPlan::seeded(1).stragglers(500, 1000).is_zero());
         assert!(FaultPlan::seeded(1).stragglers(0, 4000).is_zero());
         assert!(FaultPlan::seeded(1).link_flaps(1000, 0).is_zero());
-        assert!(FaultPlan::seeded(1).delay_barriers(100, 0).is_zero());
         // Any real perturbation flips it.
         assert!(!FaultPlan::seeded(1).stragglers(500, 2000).is_zero());
-        assert!(!FaultPlan::seeded(1).sm_throttle(100, 3000).is_zero());
         assert!(!FaultPlan::seeded(1).degrade_links(2000, 1000).is_zero());
         assert!(!FaultPlan::seeded(1).degrade_links(1000, 2000).is_zero());
         assert!(!FaultPlan::seeded(1).link_flaps(1000, 100).is_zero());
-        assert!(!FaultPlan::seeded(1).delay_barriers(100, 50).is_zero());
         assert!(!FaultPlan::seeded(1).kill_block(0, 3).is_zero());
     }
 
@@ -339,7 +297,7 @@ mod tests {
         assert_eq!(a, mix(1, &[10, 20]), "deterministic");
         assert_ne!(a, mix(2, &[10, 20]), "seed feeds in");
         assert_ne!(a, mix(1, &[20, 10]), "part order feeds in");
-        assert_ne!(mix(1, &[TAG_STRAGGLER, 5]), mix(1, &[TAG_SM_THROTTLE, 5]));
+        assert_ne!(mix(1, &[TAG_STRAGGLER, 5]), mix(1, &[TAG_RETRY_BACKOFF, 5]));
     }
 
     #[test]

@@ -154,20 +154,6 @@ impl Buffer {
         Ok(out)
     }
 
-    /// Overwrite the words from `off` on with `vals`, in order. Writing
-    /// something to a synthetic buffer densifies it first, as
-    /// [`Buffer::store`] does; writing nothing leaves it synthetic.
-    pub fn write(&mut self, off: u64, vals: impl ExactSizeIterator<Item = u64>) -> SimResult<()> {
-        let end = self.range_end(off, vals.len() as u64)?;
-        if end > off {
-            let words = &mut self.words_mut()?[off as usize..end as usize];
-            for (w, v) in words.iter_mut().zip(vals) {
-                *w = v;
-            }
-        }
-        Ok(())
-    }
-
     /// Sum of f64 words at `start, start+stride, ...` below `len_cap`,
     /// plus the number of elements touched. Closed form for synthetic
     /// buffers; exact loop for dense ones.
@@ -492,10 +478,6 @@ impl SharedMem {
                 hazards: Records::default(),
             }),
         }
-    }
-
-    pub fn racecheck_enabled(&self) -> bool {
-        self.race.is_some()
     }
 
     /// Tell the racecheck shadow which instruction the next access belongs
@@ -920,7 +902,6 @@ mod tests {
     #[test]
     fn unchecked_smem_records_nothing() {
         let mut s = SharedMem::new(2);
-        assert!(!s.racecheck_enabled());
         s.store(0, 0, 1, false).unwrap();
         s.store(1, 0, 2, false).unwrap();
         let (hz, dropped) = s.take_hazards();

@@ -15,17 +15,18 @@
 //! deadlocks, and instruction-limit blowups are *retryable* (they are
 //! exactly the classes a fault plan can induce); launch validation,
 //! memory faults, and other program errors are *fatal* and surface
-//! immediately. Retries are paced by a seeded, counter-based exponential
-//! backoff — jitter comes from `fault::mix(seed, [TAG, attempt])`, never
-//! from wall clock or execution order, so the retry schedule is
+//! immediately. At most `MAX_RETRIES` relaunches follow the first
+//! attempt, paced by a seeded, counter-based exponential backoff from
+//! `BACKOFF_NS` — jitter comes from `fault::mix(seed, [TAG, attempt])`,
+//! never from wall clock or execution order, so the retry schedule is
 //! byte-identical at any `--jobs` setting.
 //!
 //! For multi-grid launches whose armed fault plan kills blocks on
 //! specific ranks, plain retry cannot help while the kills persist:
 //! every rank blocks at the grid barrier waiting for arrivals that never
-//! come. When the policy allows it the layer instead *evicts* the
-//! implicated ranks — the launch is rebuilt over the surviving devices
-//! (the fault plan's kill list is renumbered with
+//! come. The layer instead *evicts* the implicated ranks, as long as at
+//! least `MIN_RANKS` survive — the launch is rebuilt over the surviving
+//! devices (the fault plan's kill list is renumbered with
 //! [`crate::fault::FaultPlan::evict_ranks`]) and re-run degraded. The
 //! surviving devices keep their original ids, so link costs between them
 //! are unchanged — exactly the topology
@@ -51,6 +52,14 @@ pub enum ErrorClass {
     Fatal,
 }
 
+/// Relaunches allowed after the first attempt: three attempts in all.
+const MAX_RETRIES: u32 = 2;
+/// Base backoff before retry `i`: `BACKOFF_NS * 2^(i-1)` simulated
+/// nanoseconds plus seeded jitter in `[0, BACKOFF_NS)`.
+const BACKOFF_NS: u64 = 2_000;
+/// Rank eviction never leaves fewer surviving ranks than this.
+const MIN_RANKS: usize = 1;
+
 /// Classify an error for retry purposes.
 ///
 /// Watchdog livelocks, deadlocks, and instruction-limit blowups are the
@@ -59,8 +68,7 @@ pub enum ErrorClass {
 /// program itself and is fatal.
 pub fn classify(err: &SimError) -> ErrorClass {
     match err {
-        SimError::Watchdog { .. } | SimError::Deadlock { .. } => ErrorClass::Retryable,
-        SimError::ProgramError(msg) if msg.contains("exceeded") && msg.contains("instructions") => {
+        SimError::Watchdog { .. } | SimError::Deadlock { .. } | SimError::InstrLimit { .. } => {
             ErrorClass::Retryable
         }
         _ => ErrorClass::Fatal,
@@ -68,22 +76,13 @@ pub fn classify(err: &SimError) -> ErrorClass {
 }
 
 /// Retry/eviction policy attached to a launch via
-/// [`crate::RunOptions::recovery`].
+/// [`crate::RunOptions::recovery`]. The retry budget, backoff base and
+/// eviction floor are the constants `MAX_RETRIES`, `BACKOFF_NS` and
+/// `MIN_RANKS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
-    /// Relaunches allowed after the first attempt (total attempts =
-    /// `max_retries + 1`).
-    pub max_retries: u32,
-    /// Base backoff before retry `i`: `backoff_ns * 2^(i-1)` plus seeded
-    /// jitter in `[0, backoff_ns)`. Zero disables backoff entirely.
-    pub backoff_ns: u64,
     /// Seed for the counter-based jitter draws.
     pub seed: u64,
-    /// Allow evicting ranks implicated by persistent killed-block
-    /// faults from multi-grid launches.
-    pub evict: bool,
-    /// Never evict below this many surviving ranks.
-    pub min_ranks: u32,
     /// Model transient faults: the plan is armed only on attempts
     /// `< n`; later attempts run clean. `None` means every attempt is
     /// faulted (persistent faults).
@@ -91,46 +90,17 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Defaults: 2 retries, 2 us base backoff, eviction on, floor of
-    /// one surviving rank, persistent faults.
+    /// Seed 0, persistent faults.
     pub const fn new() -> RecoveryPolicy {
         RecoveryPolicy {
-            max_retries: 2,
-            backoff_ns: 2_000,
             seed: 0,
-            evict: true,
-            min_ranks: 1,
             transient_attempts: None,
         }
-    }
-
-    /// Set the number of relaunches allowed after the first attempt.
-    pub const fn retries(mut self, n: u32) -> RecoveryPolicy {
-        self.max_retries = n;
-        self
-    }
-
-    /// Set the base backoff in simulated nanoseconds.
-    pub const fn backoff_ns(mut self, ns: u64) -> RecoveryPolicy {
-        self.backoff_ns = ns;
-        self
     }
 
     /// Seed the backoff jitter draws.
     pub const fn seeded(mut self, seed: u64) -> RecoveryPolicy {
         self.seed = seed;
-        self
-    }
-
-    /// Enable or disable rank eviction.
-    pub const fn evicting(mut self, on: bool) -> RecoveryPolicy {
-        self.evict = on;
-        self
-    }
-
-    /// Set the minimum number of surviving ranks eviction may leave.
-    pub const fn min_ranks(mut self, n: u32) -> RecoveryPolicy {
-        self.min_ranks = n;
         self
     }
 
@@ -191,14 +161,10 @@ impl RecoveryReport {
 }
 
 /// Seeded exponential backoff before retry `attempt` (>= 1).
-fn backoff_for(policy: &RecoveryPolicy, attempt: u32) -> Ps {
-    let base = policy.backoff_ns;
-    if base == 0 {
-        return Ps::ZERO;
-    }
+fn backoff_for(seed: u64, attempt: u32) -> Ps {
     let exp = (attempt - 1).min(16);
-    let jitter = fault::mix(policy.seed, &[fault::TAG_RETRY_BACKOFF, attempt as u64]) % base;
-    Ps::from_ns(base.saturating_mul(1 << exp).saturating_add(jitter))
+    let jitter = fault::mix(seed, &[fault::TAG_RETRY_BACKOFF, attempt as u64]) % BACKOFF_NS;
+    Ps::from_ns(BACKOFF_NS.saturating_mul(1 << exp).saturating_add(jitter))
 }
 
 /// Simulated time a failed attempt consumed before erroring out.
@@ -229,7 +195,6 @@ pub(crate) fn execute_with_recovery(
     let mut evicted_devices: Vec<usize> = Vec::new();
     let mut attempts: Vec<AttemptRecord> = Vec::new();
     let mut cost = Ps::ZERO;
-    let max_attempts = policy.max_retries.saturating_add(1);
     let mut attempt = 0u32;
     loop {
         let armed = plan.as_ref().is_some_and(|p| !p.is_zero())
@@ -238,7 +203,7 @@ pub(crate) fn execute_with_recovery(
             Ps::ZERO
         } else {
             sys.restore(&checkpoint);
-            backoff_for(policy, attempt)
+            backoff_for(policy.seed, attempt)
         };
         cost += backoff;
         let attempt_opts = opts.for_recovery_attempt(if armed { plan.clone() } else { None });
@@ -280,7 +245,7 @@ pub(crate) fn execute_with_recovery(
                     error: Some(err.clone()),
                 });
                 attempt += 1;
-                if class == ErrorClass::Fatal || attempt >= max_attempts {
+                if class == ErrorClass::Fatal || attempt > MAX_RETRIES {
                     // Leave memory as the caller handed it to us: a
                     // failed recoverable launch has no partial effects.
                     sys.restore(&checkpoint);
@@ -290,7 +255,7 @@ pub(crate) fn execute_with_recovery(
                 // attempt — a transient plan about to disarm recovers
                 // at full strength by plain retry instead.
                 let kills_persist = policy.transient_attempts.is_none_or(|n| attempt < n);
-                if policy.evict && armed && kills_persist && cur.devices.len() > 1 {
+                if armed && kills_persist && cur.devices.len() > 1 {
                     if let Some(p) = plan.clone() {
                         let ranks: Vec<u32> = p
                             .killed_ranks()
@@ -298,7 +263,7 @@ pub(crate) fn execute_with_recovery(
                             .filter(|&r| (r as usize) < cur.devices.len())
                             .collect();
                         let survivors = cur.devices.len() - ranks.len();
-                        if !ranks.is_empty() && survivors >= policy.min_ranks.max(1) as usize {
+                        if !ranks.is_empty() && survivors >= MIN_RANKS {
                             let keep = |i: usize| !ranks.contains(&(i as u32));
                             for &r in &ranks {
                                 evicted_ranks.push(cur_to_orig[r as usize]);
@@ -352,10 +317,15 @@ mod tests {
             faults: None,
         };
         assert_eq!(classify(&wd), ErrorClass::Retryable);
-        let instr = SimError::ProgramError(
-            "kernel \"spin\" exceeded 1000 instructions — non-terminating?".into(),
-        );
+        let instr = SimError::InstrLimit {
+            kernel: "spin".into(),
+            limit: 1000,
+        };
         assert_eq!(classify(&instr), ErrorClass::Retryable);
+        // The variant decides, not the text: a program error that reads
+        // like the limit stays fatal.
+        let lookalike = SimError::ProgramError(instr.to_string());
+        assert_eq!(classify(&lookalike), ErrorClass::Fatal);
         assert_eq!(
             classify(&SimError::ProgramError("bad opcode".into())),
             ErrorClass::Fatal
@@ -368,34 +338,21 @@ mod tests {
 
     #[test]
     fn backoff_is_seeded_exponential_and_deterministic() {
-        let p = RecoveryPolicy::new().backoff_ns(1_000).seeded(7);
-        let b1 = backoff_for(&p, 1);
-        let b2 = backoff_for(&p, 2);
-        let b3 = backoff_for(&p, 3);
+        let b1 = backoff_for(7, 1);
+        let b2 = backoff_for(7, 2);
+        let b3 = backoff_for(7, 3);
         // base*2^(i-1) dominates the jitter (< base), so growth is strict.
         assert!(b1 < b2 && b2 < b3, "{b1:?} {b2:?} {b3:?}");
-        assert_eq!(b1, backoff_for(&p, 1), "same counter, same draw");
-        let other = RecoveryPolicy::new().backoff_ns(1_000).seeded(8);
-        assert_ne!(backoff_for(&other, 1), b1, "seed changes the jitter");
-        let off = RecoveryPolicy::new().backoff_ns(0);
-        assert_eq!(backoff_for(&off, 3), Ps::ZERO);
+        assert!(b1 >= Ps::from_ns(BACKOFF_NS) && b1 < Ps::from_ns(2 * BACKOFF_NS));
+        assert_eq!(b1, backoff_for(7, 1), "same counter, same draw");
+        assert_ne!(backoff_for(8, 1), b1, "seed changes the jitter");
     }
 
     #[test]
     fn policy_builder_is_const_friendly() {
-        const P: RecoveryPolicy = RecoveryPolicy::new()
-            .retries(4)
-            .backoff_ns(500)
-            .seeded(9)
-            .evicting(false)
-            .min_ranks(2)
-            .transient(1);
+        const P: RecoveryPolicy = RecoveryPolicy::new().seeded(9).transient(1);
         let p = P;
-        assert_eq!(p.max_retries, 4);
-        assert_eq!(p.backoff_ns, 500);
         assert_eq!(p.seed, 9);
-        assert!(!p.evict);
-        assert_eq!(p.min_ranks, 2);
         assert_eq!(p.transient_attempts, Some(1));
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::new());
     }

@@ -180,19 +180,6 @@ pub fn render_report(kernel: &Kernel, diags: &[Diagnostic]) -> String {
     s
 }
 
-/// Number of parameter slots the program requires (max `param(n)` + 1).
-pub fn params_required(p: &Program) -> usize {
-    let mut max: Option<u8> = None;
-    for i in &p.instrs {
-        for op in input_operands(i) {
-            if let Operand::Param(n) = op {
-                max = Some(max.map_or(n, |m: u8| m.max(n)));
-            }
-        }
-    }
-    max.map_or(0, |m| m as usize + 1)
-}
-
 /// Run every static check that needs no launch context.
 pub fn check_kernel(kernel: &Kernel) -> Vec<Diagnostic> {
     Checker::new(&kernel.program, kernel.shared_words).run()
@@ -1385,7 +1372,6 @@ mod tests {
         });
         b.exit();
         let k = b.build(0);
-        assert_eq!(params_required(&k.program), 2);
         assert!(check_launch(&k, 2)
             .iter()
             .all(|d| d.class != HazardClass::UnboundParam));

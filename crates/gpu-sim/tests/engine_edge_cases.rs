@@ -700,7 +700,7 @@ fn infinite_loop_hits_the_instruction_limit() {
     b.label("x");
     b.bra("x");
     let e = sys.run_plain(&GridLaunch::single(b.build(0), 1, 32, vec![]));
-    assert!(matches!(e, Err(SimError::ProgramError(_))), "{e:?}");
+    assert!(matches!(e, Err(SimError::InstrLimit { .. })), "{e:?}");
 }
 
 // ---------- multi-device corners ----------------------------------------------------

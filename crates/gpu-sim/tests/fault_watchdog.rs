@@ -342,9 +342,7 @@ fn faulted_report(plan: &FaultPlan) -> String {
 
 #[test]
 fn same_seed_gives_byte_identical_reports() {
-    let plan = FaultPlan::seeded(7)
-        .stragglers(250, 4000)
-        .sm_throttle(250, 2000);
+    let plan = FaultPlan::seeded(7).stragglers(250, 4000);
     assert_eq!(faulted_report(&plan), faulted_report(&plan));
 }
 

@@ -1,11 +1,12 @@
 //! The fault recovery layer end to end: zero-policy identity, clean-policy
 //! transparency, checkpointed retry for transient kills, rank eviction for
-//! persistent ones, and rollback on exhausted retries.
+//! persistent ones, rollback on exhausted retries, and which errors retry.
 
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{BufId, FaultPlan, GpuSystem, GridLaunch, RecoveryPolicy, RunOptions};
+use gpu_sim::recover::{classify, ErrorClass};
+use gpu_sim::{BufId, FaultPlan, GpuSystem, GridLaunch, KernelBuilder, RecoveryPolicy, RunOptions};
 use sim_core::{Ps, SimError};
 
 const GRID: u32 = 2;
@@ -152,22 +153,58 @@ fn persistent_kill_evicts_the_dead_rank_at_2_4_6_gpus() {
 
 /// When every retry is exhausted the error surfaces, and memory is rolled
 /// back to the pre-launch checkpoint: a failed recoverable launch has no
-/// partial effects.
+/// partial effects. A block killed on every rank leaves no rank to evict,
+/// so only retries remain, and they allow three attempts: kills armed on
+/// the first two recover on the third, kills armed on three never do.
 #[test]
 fn exhausted_retries_surface_the_error_and_roll_back_memory() {
-    let mut s = sys();
-    let (l, bufs) = chain_launch(&mut s, 4);
-    let before = words(&s, &bufs);
-    let opts = RunOptions::new()
-        .faults(kill_rank_1(7))
-        .recovery(RecoveryPolicy::new().seeded(7).evicting(false).retries(1));
-    match s.execute(&l, &opts) {
-        Err(SimError::Deadlock { faults, .. }) => {
-            assert!(faults.is_some(), "the surfaced error keeps its fingerprint");
+    let kill_all = (0..4).fold(FaultPlan::seeded(7), |p, rank| p.kill_block(rank, 0));
+    let policy = RecoveryPolicy::new().seeded(7);
+    for exhausting in [policy, policy.transient(3)] {
+        let mut s = sys();
+        let (l, bufs) = chain_launch(&mut s, 4);
+        let before = words(&s, &bufs);
+        let opts = RunOptions::new()
+            .faults(kill_all.clone())
+            .recovery(exhausting);
+        match s.execute(&l, &opts) {
+            Err(SimError::Deadlock { faults, .. }) => {
+                assert!(faults.is_some(), "the surfaced error keeps its fingerprint");
+            }
+            other => panic!("expected deadlock after exhausted retries, got {other:?}"),
         }
-        other => panic!("expected deadlock after exhausted retries, got {other:?}"),
+        assert_eq!(before, words(&s, &bufs), "rollback to the checkpoint");
     }
-    assert_eq!(before, words(&s, &bufs), "rollback to the checkpoint");
+    let mut s = sys();
+    let (l, _) = chain_launch(&mut s, 4);
+    let opts = RunOptions::new()
+        .faults(kill_all)
+        .recovery(policy.transient(2));
+    let rec = s.execute(&l, &opts).unwrap().recovery.unwrap();
+    assert_eq!(rec.attempts.len(), 3);
+    assert!(rec.attempts[..2].iter().all(|a| a.error.is_some()));
+    assert!(
+        rec.evicted_ranks.is_empty(),
+        "no rank would survive eviction"
+    );
+}
+
+/// The error a real non-terminating kernel returns is retryable: it is
+/// classified by its type, whatever its message says.
+#[test]
+fn instruction_limit_of_a_real_loop_is_retryable() {
+    let mut s = GpuSystem::single(v100_small()).with_instr_limit(10_000);
+    let mut b = KernelBuilder::new("forever");
+    b.label("x");
+    b.bra("x");
+    let err = s
+        .execute(
+            &GridLaunch::single(b.build(0), 1, 32, vec![]),
+            &RunOptions::new(),
+        )
+        .unwrap_err();
+    assert!(matches!(err, SimError::InstrLimit { .. }), "{err:?}");
+    assert_eq!(classify(&err), ErrorClass::Retryable);
 }
 
 /// Fatal errors (launch validation) are never retried.

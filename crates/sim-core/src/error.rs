@@ -132,6 +132,14 @@ pub enum SimError {
     MemoryFault(String),
     /// Malformed program (undefined label, bad register, ...).
     ProgramError(String),
+    /// A launch executed more than its system's instruction limit — most
+    /// likely a non-terminating loop. It displays as a program error.
+    InstrLimit {
+        /// Name of the launched kernel.
+        kernel: String,
+        /// The limit that was exceeded.
+        limit: u64,
+    },
     /// Several independent sweep cells failed. Errors are in input order and
     /// capped; `dropped` counts the ones past the cap.
     CellErrors {
@@ -196,6 +204,10 @@ impl fmt::Display for SimError {
             SimError::InvalidLaunch(msg) => write!(f, "invalid launch: {msg}"),
             SimError::MemoryFault(msg) => write!(f, "memory fault: {msg}"),
             SimError::ProgramError(msg) => write!(f, "program error: {msg}"),
+            SimError::InstrLimit { kernel, limit } => write!(
+                f,
+                "program error: kernel {kernel:?} exceeded {limit} instructions — non-terminating?"
+            ),
             SimError::CellErrors { errors, dropped } => {
                 write!(
                     f,
@@ -282,6 +294,14 @@ mod tests {
         assert!(SimError::ProgramError("label".into())
             .to_string()
             .contains("label"));
+        let limit = SimError::InstrLimit {
+            kernel: "spin".into(),
+            limit: 1000,
+        };
+        assert_eq!(
+            limit.to_string(),
+            "program error: kernel \"spin\" exceeded 1000 instructions — non-terminating?"
+        );
     }
 
     #[test]
