@@ -94,14 +94,15 @@ pub fn measure_inter_sm(
     trials: u32,
 ) -> SimResult<InterSmMeasurement> {
     assert!(r1 > r2, "repeat counts must differ (r1 > r2)");
-    let mk = |reps: u64| GridLaunch {
-        kernel: kernels::sync_throughput(op, reps as usize),
-        grid_dim,
-        block_dim,
-        kind: op.launch_kind(),
-        devices: devices.to_vec(),
-        params: vec![vec![]; devices.len()],
-        checked: false,
+    let mk = |reps: u64| {
+        GridLaunch::new(
+            kernels::sync_throughput(op, reps as usize),
+            grid_dim,
+            block_dim,
+            op.launch_kind(),
+            devices.to_vec(),
+            vec![vec![]; devices.len()],
+        )
     };
     differential(GpuSystem::new(arch.clone(), topology), mk, r1, r2, trials)
 }

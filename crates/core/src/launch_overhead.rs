@@ -27,16 +27,8 @@ pub struct LaunchOverheadRow {
 }
 
 fn make_launch(kind: LaunchKind, kernel: gpu_sim::Kernel, devices: Vec<usize>) -> GridLaunch {
-    let n = devices.len();
-    GridLaunch {
-        kernel,
-        grid_dim: 1,
-        block_dim: 32,
-        kind,
-        devices,
-        params: vec![vec![]; n],
-        checked: false,
-    }
+    let params = vec![vec![]; devices.len()];
+    GridLaunch::new(kernel, 1, 32, kind, devices, params)
 }
 
 /// Measure one launch path with the fusion method using `sleep_ns` kernels.

@@ -43,7 +43,10 @@ impl Placement {
     }
 }
 
-fn launch_for(
+/// A launch of `kernel` with `op`'s launch kind over `devices`, each
+/// device's param 0 a fresh output buffer of one word per thread,
+/// allocated on that device in device order.
+pub(crate) fn launch_for(
     sys: &mut GpuSystem,
     op: SyncOp,
     kernel: gpu_sim::Kernel,
@@ -56,15 +59,14 @@ fn launch_for(
         .iter()
         .map(|&d| vec![sys.alloc(d, words).0 as u64])
         .collect();
-    GridLaunch {
+    GridLaunch::new(
         kernel,
         grid_dim,
         block_dim,
-        kind: op.launch_kind(),
-        devices: devices.to_vec(),
+        op.launch_kind(),
+        devices.to_vec(),
         params,
-        checked: false,
-    }
+    )
 }
 
 /// Run a clocked chain of `reps` sync ops and report cycles/op.
@@ -94,8 +96,8 @@ pub fn sync_chain_cycles(
 
 /// [`sync_chain_cycles`] with arbitrary run options: the measurement plus
 /// the launch's full [`RunArtifacts`] — the syncprof profile a
-/// [`RunOptions::profile`] run armed, or the recovery account a
-/// [`RunOptions::recovery`] policy attaches after retries or eviction.
+/// [`RunOptions::profile`] run armed, or the hazards a
+/// [`RunOptions::check`] run found.
 pub fn sync_chain_run(
     arch: &GpuArch,
     placement: &Placement,

@@ -10,9 +10,8 @@
 //! [`FaultPlan`] killing a block on rank 1:
 //!
 //! * **transient-kill** — the kill is armed only on attempt 0 (a one-off
-//!   soft failure). The [`RecoveryPolicy`] restores the pre-launch
-//!   checkpoint and relaunches clean; recovery is a full retry at full
-//!   strength.
+//!   soft failure). [`recover::execute`] restores the pre-launch buffers
+//!   and relaunches clean; recovery is a full retry at full strength.
 //! * **persistent-kill** — the kill is armed on every attempt (a dead
 //!   rank). Plain retry cannot help, so the policy evicts rank 1 and
 //!   re-runs degraded on the survivors.
@@ -23,13 +22,13 @@
 //! simulated time from counter-based draws, so the whole table is
 //! byte-identical at any `--jobs` value.
 
-use crate::measure::{sync_chain_run, Placement};
+use crate::measure::{launch_for, Placement};
 use crate::report::{fmt, TextTable};
 use crate::sweep;
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
-use gpu_sim::kernels::SyncOp;
-use gpu_sim::{FaultPlan, RecoveryPolicy, RunOptions};
+use gpu_sim::kernels::{self, SyncOp};
+use gpu_sim::{recover, FaultPlan, GpuSystem, RecoveryPolicy, RunOptions};
 use serde::Serialize;
 use sim_core::SimResult;
 use std::sync::Arc;
@@ -99,30 +98,19 @@ pub fn recovery_cell(seed: u64, gpus: usize, transient: bool) -> SimResult<Recov
     let topology = Arc::new(NodeTopology::dgx1_v100());
     let placement = Placement::multi(topology, gpus);
     let grid_dim = arch.num_sms;
-    let healthy = sync_chain_run(
-        &arch,
-        &placement,
+    let mut sys = GpuSystem::new(arch, placement.topology);
+    let launch = launch_for(
+        &mut sys,
         SyncOp::MultiGrid,
-        REPS,
+        kernels::sync_chain(SyncOp::MultiGrid, REPS),
         grid_dim,
         TPB,
-        &RunOptions::new(),
-    )?;
-    let plan = FaultPlan::seeded(seed).kill_block(1, 0);
-    let opts = RunOptions::new()
-        .faults(plan)
-        .recovery(policy_for(seed, transient));
-    let (_, arts) = sync_chain_run(
-        &arch,
-        &placement,
-        SyncOp::MultiGrid,
-        REPS,
-        grid_dim,
-        TPB,
-        &opts,
-    )?;
-    let rec = arts.recovery.expect("recovery policy was installed");
-    let healthy_us = healthy.1.report.duration.as_us();
+        &placement.devices,
+    );
+    let healthy = sys.clone().execute(&launch, &RunOptions::new())?;
+    let opts = RunOptions::new().faults(FaultPlan::seeded(seed).kill_block(1, 0));
+    let (arts, rec) = recover::execute(&mut sys, &launch, &opts, &policy_for(seed, transient))?;
+    let healthy_us = healthy.report.duration.as_us();
     let recovery_us = rec.recovery_cost.as_us();
     let total_us = recovery_us + arts.report.duration.as_us();
     Ok(RecoveryPoint {

@@ -20,8 +20,8 @@
 
 use gpu_arch::LaunchPath;
 use gpu_sim::{
-    BufId, ExecReport, GpuSystem, GridLaunch, HazardReport, LaunchKind, ProfileReport,
-    RecoveryReport, RunOptions, TraceEvent,
+    BufId, ExecReport, GpuSystem, GridLaunch, HazardReport, LaunchKind, ProfileReport, RunOptions,
+    TraceEvent,
 };
 use sim_core::{Ps, SimError, SimResult, SmallRng};
 
@@ -64,9 +64,6 @@ pub struct LaunchArtifacts {
     pub trace: Option<Vec<TraceEvent>>,
     /// Syncprof counters (`Some` iff profiling was requested).
     pub profile: Option<ProfileReport>,
-    /// Recovery account (`Some` iff a [`gpu_sim::RecoveryPolicy`] was
-    /// installed — even when the first attempt succeeded cleanly).
-    pub recovery: Option<RecoveryReport>,
 }
 
 impl LaunchArtifacts {
@@ -153,11 +150,6 @@ impl HostSim {
         }
     }
 
-    /// Advance a host thread's clock by busy work (ns).
-    pub fn advance(&mut self, thread: usize, ns: u64) {
-        self.threads[thread] += Ps::from_ns(ns);
-    }
-
     fn path(&self, kind: LaunchKind) -> LaunchPath {
         let h = &self.sys.arch.host;
         match kind {
@@ -196,12 +188,8 @@ impl HostSim {
     /// checking, tracing, profiling — without changing the stream timing.
     /// Detected hazards come back as *data* in [`LaunchArtifacts::hazards`];
     /// `launch` only errors on invalid launches, faults, deadlock, or
-    /// static-lint rejections. With a [`gpu_sim::RecoveryPolicy`] installed,
-    /// a fault-induced failure may instead resolve to `Ok` via checkpointed
-    /// retry or rank eviction — the account lands in
-    /// [`LaunchArtifacts::recovery`], the failed attempts and backoff are
-    /// charged to the stream as busy time, and after eviction the stream
-    /// timing covers only the surviving devices.
+    /// static-lint rejections. The stream timing covers every device of
+    /// `launch.devices`.
     pub fn launch(
         &mut self,
         thread: usize,
@@ -211,23 +199,6 @@ impl HostSim {
         let path = self.path(launch.kind);
         let arts = self.sys.execute(launch, opts)?;
         let exec = arts.report;
-        let recovery = arts.recovery;
-        // Rank eviction shrinks the participant set: `device_durations`
-        // covers only the ranks the successful attempt ran on, so the
-        // stream timing below must use the survivors, not the request.
-        let live: Vec<usize> = match &recovery {
-            Some(r) if !r.evicted_devices.is_empty() => launch
-                .devices
-                .iter()
-                .copied()
-                .filter(|d| !r.evicted_devices.contains(d))
-                .collect(),
-            _ => launch.devices.clone(),
-        };
-        debug_assert_eq!(live.len(), exec.device_durations.len());
-        // Failed attempts and backoff occupy the stream(s) before the
-        // successful attempt begins.
-        let rec_cost = recovery.as_ref().map_or(Ps::ZERO, |r| r.recovery_cost);
         // CPU-side cost of the launch call.
         self.threads[thread] += Ps::from_ns(path.overhead_ns);
         let now = self.threads[thread];
@@ -236,14 +207,17 @@ impl HostSim {
             LaunchKind::CooperativeMultiDevice => {
                 // Gate: waits for ALL previous operations in every
                 // participating device's stream, plus per-GPU serialization.
-                let all_busy = live
+                let all_busy = launch
+                    .devices
                     .iter()
                     .map(|&d| self.streams[d].busy_until)
                     .max()
                     .unwrap_or(Ps::ZERO);
-                let gate =
-                    Ps::from_ns(self.sys.arch.host.multi_gate_per_gpu_ns * (live.len() as u64 - 1));
-                let saturated = live
+                let gate = Ps::from_ns(
+                    self.sys.arch.host.multi_gate_per_gpu_ns * (launch.devices.len() as u64 - 1),
+                );
+                let saturated = launch
+                    .devices
                     .iter()
                     .any(|&d| self.streams[d].has_tail && self.streams[d].busy_until > now);
                 if saturated {
@@ -253,7 +227,7 @@ impl HostSim {
                 }
             }
             _ => {
-                let d = live[0];
+                let d = launch.devices[0];
                 let s = self.streams[d];
                 if s.has_tail && s.busy_until > now {
                     // Back-to-back in a saturated stream: the launch gap,
@@ -268,9 +242,8 @@ impl HostSim {
             }
         };
 
-        let begin = begin + rec_cost;
         let mut end = Ps::ZERO;
-        for (r, &d) in live.iter().enumerate() {
+        for (r, &d) in launch.devices.iter().enumerate() {
             let e = begin + exec.device_durations[r];
             self.streams[d].busy_until = e;
             self.streams[d].has_tail = true;
@@ -283,7 +256,6 @@ impl HostSim {
             hazards: arts.hazards,
             trace: arts.trace,
             profile: arts.profile,
-            recovery,
         })
     }
 
@@ -462,7 +434,7 @@ mod tests {
         arch.num_sms = 2;
         let sys = GpuSystem::new(arch, NodeTopology::dgx1_v100());
         let mut h = HostSim::with_threads(sys, 4).without_jitter();
-        h.advance(2, 5_000);
+        h.threads[2] += Ps::from_ns(5_000);
         h.omp_barrier(&[]);
         let t0 = h.now(0);
         assert!(h.threads.iter().all(|&t| t == t0));
@@ -489,7 +461,7 @@ mod tests {
         arch.num_sms = 1;
         let stamps = || {
             let mut h = HostSim::new(GpuSystem::single(arch.clone()));
-            h.advance(0, 1_000_000);
+            h.threads[0] += Ps::from_ns(1_000_000);
             (0..32).map(|_| h.timestamp(0)).collect::<Vec<f64>>()
         };
         let a = stamps();

@@ -26,8 +26,6 @@ pub enum LinkClass {
 /// // behind the paper's 5-to-6-GPU jump in multi-grid sync cost.
 /// assert_eq!(dgx1.link(0, 4), LinkClass::Near);
 /// assert_eq!(dgx1.link(0, 5), LinkClass::Far);
-/// assert_eq!(dgx1.max_hops(0, &[1, 2, 3, 4]), 1);
-/// assert_eq!(dgx1.max_hops(0, &[1, 2, 3, 4, 5]), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeTopology {
@@ -212,26 +210,6 @@ impl NodeTopology {
         }
     }
 
-    /// Number of fabric hops between two GPUs (0 = same device, 1 = direct
-    /// link, 2 = routed over PCIe/QPI).
-    pub fn hops(&self, a: usize, b: usize) -> u32 {
-        match self.link(a, b) {
-            LinkClass::Local => 0,
-            LinkClass::Near => 1,
-            LinkClass::Far => 2,
-        }
-    }
-
-    /// The maximum hop count from `master` to any GPU in `gpus` — the
-    /// quantity that jumps when a barrier first crosses the DGX-1's quad
-    /// boundary.
-    pub fn max_hops(&self, master: usize, gpus: &[usize]) -> u32 {
-        gpus.iter()
-            .map(|&g| self.hops(master, g))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// One-way flag (small write/read) latency between two GPUs.
     pub fn flag_latency(&self, a: usize, b: usize) -> Ps {
         match self.link(a, b) {
@@ -335,12 +313,9 @@ mod tests {
     #[test]
     fn hops_track_link_classes() {
         let t = NodeTopology::dgx1_v100();
-        assert_eq!(t.hops(0, 0), 0);
-        assert_eq!(t.hops(0, 4), 1);
-        assert_eq!(t.hops(0, 5), 2);
-        assert_eq!(t.max_hops(0, &[1, 2, 3, 4]), 1);
-        assert_eq!(t.max_hops(0, &[1, 2, 3, 4, 5]), 2);
-        assert_eq!(t.max_hops(0, &[]), 0);
+        assert_eq!(t.link(0, 0), LinkClass::Local);
+        assert_eq!(t.link(0, 4), LinkClass::Near);
+        assert_eq!(t.link(0, 5), LinkClass::Far);
     }
 
     #[test]

@@ -3032,7 +3032,6 @@ impl<'a> Engine<'a> {
             hazards: self.check.then_some(hazards),
             trace: self.trace.map(|(_, ev)| ev),
             profile,
-            recovery: None,
         })
     }
 }

@@ -15,9 +15,9 @@
 //! * seeded deterministic fault injection plus a progress watchdog for
 //!   spin-barrier livelocks ([`fault`], [`RunOptions::faults`],
 //!   [`RunOptions::watchdog`]), and
-//! * an opt-in fault recovery layer — checkpointed retry with seeded
-//!   backoff and rank eviction for multi-grid launches ([`recover`],
-//!   [`RunOptions::recovery`]).
+//! * fault recovery as a function over [`GpuSystem::execute`] —
+//!   checkpointed retry with seeded backoff and rank eviction for
+//!   multi-grid launches ([`recover::execute`]).
 
 pub mod chrome_trace;
 pub mod disasm;
@@ -40,7 +40,7 @@ pub use isa::{
     fimm, BuildError, Instr, Kernel, KernelBuilder, Operand, Program, Reg, ShflKind, ShflMode,
     Special,
 };
-pub use mem::{BufData, BufId, Buffer, Hazard, HazardKind, MemCheckpoint, SharedMem};
+pub use mem::{BufData, BufId, Buffer, Hazard, HazardKind, SharedMem};
 pub use profile::{
     BarrierEpoch, KernelProfile, ProfileReport, SmProfile, StallBreakdown, SyncScope,
 };

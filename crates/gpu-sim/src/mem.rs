@@ -32,36 +32,6 @@ pub struct Buffer {
     pub data: BufData,
 }
 
-/// A byte-exact snapshot of every buffer in a [`crate::GpuSystem`], taken by
-/// [`crate::GpuSystem::checkpoint`] before a recoverable launch's first
-/// attempt and restored by [`crate::GpuSystem::restore`] before each retry.
-///
-/// Exactness argument: buffer words are the *only* launch-visible mutable
-/// state a [`crate::GpuSystem`] carries between launches (allocation ids are
-/// positional, the arch/topology are immutable `Arc`s), and `BufData` holds
-/// them as plain `u64` words / closed-form descriptors with no float
-/// accumulation — so clone-and-restore reproduces the pre-launch machine
-/// state bit-for-bit, and a retried attempt replays exactly the first one
-/// modulo the things the retry deliberately changes (fault arming, evicted
-/// ranks, backoff clock).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MemCheckpoint {
-    pub(crate) bufs: Vec<Buffer>,
-}
-
-impl MemCheckpoint {
-    /// Number of buffers captured.
-    pub fn num_buffers(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Total words captured across all buffers (synthetic buffers count
-    /// their logical length; their storage stays O(1)).
-    pub fn words(&self) -> u64 {
-        self.bufs.iter().map(|b| b.len()).sum()
-    }
-}
-
 impl Buffer {
     pub fn len(&self) -> u64 {
         match &self.data {

@@ -1,15 +1,13 @@
 //! Fault recovery: checkpointed retry, rank eviction, and degraded-mode
 //! re-execution on top of [`crate::GpuSystem::execute`].
 //!
-//! The layer is strictly opt-in: a [`RecoveryPolicy`] attached via
-//! [`crate::RunOptions::recovery`] wraps the launch in an attempt loop.
-//! Before the first attempt the system's launch-visible memory (every
-//! allocated buffer word) is checkpointed; each retry restores that
-//! checkpoint byte-exactly, so every attempt observes the same initial
-//! state regardless of how far the failed attempt got. Buffer words are
-//! the *only* mutable state a launch can observe across launches — the
-//! engine and profiler are rebuilt per attempt —
-//! which is the exactness argument for the checkpoint.
+//! [`execute`] runs a launch under a [`RecoveryPolicy`] as a loop of plain
+//! `GpuSystem::execute` attempts. Before the first attempt it copies the
+//! system's buffer table; each retry restores that copy byte-exactly, so
+//! every attempt observes the same initial state regardless of how far
+//! the failed attempt got. Buffer words are the *only* mutable state a
+//! launch can observe across launches — the engine and profiler are
+//! rebuilt per attempt — which is the exactness argument for the copy.
 //!
 //! Failures are classified by [`classify`]: watchdog livelocks, grid
 //! deadlocks, and instruction-limit blowups are *retryable* (they are
@@ -33,19 +31,20 @@
 //! [`gpu_node::NodeTopology::evict`] would describe, which is what the
 //! report's `effective_topology` records.
 //!
-//! With no policy installed nothing here runs and every artifact byte is
-//! identical to an unwrapped execution.
+//! Nothing here runs unless a caller calls [`execute`]; a plain
+//! `GpuSystem::execute` has no recovery path.
 
 use serde::{Deserialize, Serialize};
 use sim_core::{Ps, SimError, SimResult};
 
 use crate::fault;
+use crate::mem::Buffer;
 use crate::system::{GpuSystem, GridLaunch, RunArtifacts, RunOptions};
 
 /// How a [`SimError`] relates to the recovery layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorClass {
-    /// Plausibly fault-induced: worth restoring the checkpoint and
+    /// Plausibly fault-induced: worth restoring the buffers and
     /// relaunching (possibly on fewer ranks).
     Retryable,
     /// Structural: retrying cannot change the outcome.
@@ -75,10 +74,9 @@ pub fn classify(err: &SimError) -> ErrorClass {
     }
 }
 
-/// Retry/eviction policy attached to a launch via
-/// [`crate::RunOptions::recovery`]. The retry budget, backoff base and
-/// eviction floor are the constants `MAX_RETRIES`, `BACKOFF_NS` and
-/// `MIN_RANKS`.
+/// Retry/eviction policy of one [`execute`] call. The retry budget,
+/// backoff base and eviction floor are the constants `MAX_RETRIES`,
+/// `BACKOFF_NS` and `MIN_RANKS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Seed for the counter-based jitter draws.
@@ -132,9 +130,8 @@ pub struct AttemptRecord {
     pub error: Option<SimError>,
 }
 
-/// Structured account of what the recovery layer did, attached to
-/// [`RunArtifacts::recovery`] whenever a policy was installed — even for
-/// a clean single-attempt run.
+/// Structured account of what [`execute`] did, returned with the
+/// successful attempt's artifacts — even for a clean single-attempt run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Every attempt in order; the last one succeeded.
@@ -153,13 +150,6 @@ pub struct RecoveryReport {
     pub recovered: bool,
 }
 
-impl RecoveryReport {
-    /// Whether any rank was evicted.
-    pub fn degraded(&self) -> bool {
-        !self.evicted_ranks.is_empty()
-    }
-}
-
 /// Seeded exponential backoff before retry `attempt` (>= 1).
 fn backoff_for(seed: u64, attempt: u32) -> Ps {
     let exp = (attempt - 1).min(16);
@@ -175,18 +165,28 @@ fn error_time(err: &SimError) -> Ps {
     }
 }
 
-/// The attempt loop behind [`GpuSystem::execute`] when a policy is
-/// installed. `opts` still carries the policy; each inner attempt runs
-/// with [`RunOptions::for_recovery_attempt`], which strips it, so the
-/// recursion into `execute` is exactly one level deep.
-pub(crate) fn execute_with_recovery(
+/// Put back the buffer table [`execute`] copied before attempt 0. A
+/// launch writes buffer words but never allocates, so the table keeps its
+/// shape and buffer ids stay valid.
+fn roll_back(sys: &mut GpuSystem, bufs: &[Buffer]) {
+    debug_assert_eq!(sys.bufs.len(), bufs.len(), "a launch allocated a buffer");
+    sys.bufs.clone_from_slice(bufs);
+}
+
+/// Run `launch` under `policy`: a plain [`GpuSystem::execute`] per
+/// attempt, with `opts`' fault plan armed, disarmed or rank-compacted as
+/// the attempt requires. Returns the successful attempt's artifacts and
+/// the account of every attempt, or the last error with memory rolled
+/// back to its state on entry.
+pub fn execute(
     sys: &mut GpuSystem,
     launch: &GridLaunch,
     opts: &RunOptions,
     policy: &RecoveryPolicy,
-) -> SimResult<RunArtifacts> {
-    let checkpoint = sys.checkpoint();
+) -> SimResult<(RunArtifacts, RecoveryReport)> {
+    let bufs = sys.bufs.clone();
     let mut cur = launch.clone();
+    let mut attempt_opts = opts.clone();
     let mut plan = opts.fault_plan().cloned();
     // Surviving launch ranks, by original index — eviction renumbers the
     // live launch but the report speaks in original identities.
@@ -202,13 +202,13 @@ pub(crate) fn execute_with_recovery(
         let backoff = if attempt == 0 {
             Ps::ZERO
         } else {
-            sys.restore(&checkpoint);
+            roll_back(sys, &bufs);
             backoff_for(policy.seed, attempt)
         };
         cost += backoff;
-        let attempt_opts = opts.for_recovery_attempt(if armed { plan.clone() } else { None });
+        attempt_opts.faults = if armed { plan.clone() } else { None };
         match sys.execute(&cur, &attempt_opts) {
-            Ok(mut arts) => {
+            Ok(arts) => {
                 attempts.push(AttemptRecord {
                     attempt,
                     devices: cur.devices.clone(),
@@ -223,7 +223,7 @@ pub(crate) fn execute_with_recovery(
                 } else {
                     sys.topology.evict(&evicted_devices).name
                 };
-                arts.recovery = Some(RecoveryReport {
+                let report = RecoveryReport {
                     recovered: attempt > 0,
                     attempts,
                     evicted_ranks,
@@ -231,8 +231,8 @@ pub(crate) fn execute_with_recovery(
                     effective_ranks: cur.devices.len(),
                     effective_topology,
                     recovery_cost: cost,
-                });
-                return Ok(arts);
+                };
+                return Ok((arts, report));
             }
             Err(err) => {
                 cost += error_time(&err);
@@ -248,7 +248,7 @@ pub(crate) fn execute_with_recovery(
                 if class == ErrorClass::Fatal || attempt > MAX_RETRIES {
                     // Leave memory as the caller handed it to us: a
                     // failed recoverable launch has no partial effects.
-                    sys.restore(&checkpoint);
+                    roll_back(sys, &bufs);
                     return Err(err);
                 }
                 // Evict only when the kills will still be armed next

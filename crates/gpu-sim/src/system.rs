@@ -45,17 +45,37 @@ pub struct GridLaunch {
 }
 
 impl GridLaunch {
-    /// Single-device launch with the same params every launch kind.
-    pub fn single(kernel: Kernel, grid_dim: u32, block_dim: u32, params: Vec<u64>) -> GridLaunch {
+    /// A `kind` launch over `devices`, with one param vector per device
+    /// (same order).
+    pub fn new(
+        kernel: Kernel,
+        grid_dim: u32,
+        block_dim: u32,
+        kind: LaunchKind,
+        devices: Vec<usize>,
+        params: Vec<Vec<u64>>,
+    ) -> GridLaunch {
         GridLaunch {
             kernel,
             grid_dim,
             block_dim,
-            kind: LaunchKind::Traditional,
-            devices: vec![0],
-            params: vec![params],
+            kind,
+            devices,
+            params,
             checked: false,
         }
+    }
+
+    /// Single-device launch with the same params every launch kind.
+    pub fn single(kernel: Kernel, grid_dim: u32, block_dim: u32, params: Vec<u64>) -> GridLaunch {
+        GridLaunch::new(
+            kernel,
+            grid_dim,
+            block_dim,
+            LaunchKind::Traditional,
+            vec![0],
+            vec![params],
+        )
     }
 
     pub fn cooperative(mut self) -> GridLaunch {
@@ -68,13 +88,6 @@ impl GridLaunch {
         self
     }
 
-    /// Enable synchronization checking for this launch (static lint at
-    /// validation + dynamic racecheck during execution).
-    pub fn checked(mut self) -> GridLaunch {
-        self.checked = true;
-        self
-    }
-
     /// Multi-device cooperative launch over `devices`, with per-device params.
     pub fn multi(
         kernel: Kernel,
@@ -84,15 +97,14 @@ impl GridLaunch {
         params: Vec<Vec<u64>>,
     ) -> GridLaunch {
         assert_eq!(devices.len(), params.len(), "one param set per device");
-        GridLaunch {
+        GridLaunch::new(
             kernel,
             grid_dim,
             block_dim,
-            kind: LaunchKind::CooperativeMultiDevice,
+            LaunchKind::CooperativeMultiDevice,
             devices,
             params,
-            checked: false,
-        }
+        )
     }
 }
 
@@ -135,9 +147,9 @@ pub struct RunOptions {
     check: bool,
     trace: Option<usize>,
     profile: bool,
-    faults: Option<crate::fault::FaultPlan>,
+    /// Written per attempt by [`crate::recover::execute`].
+    pub(crate) faults: Option<crate::fault::FaultPlan>,
     watchdog: Option<Ps>,
-    recovery: Option<crate::recover::RecoveryPolicy>,
 }
 
 impl RunOptions {
@@ -149,7 +161,6 @@ impl RunOptions {
             profile: false,
             faults: None,
             watchdog: None,
-            recovery: None,
         }
     }
 
@@ -195,17 +206,6 @@ impl RunOptions {
         self
     }
 
-    /// Arm the fault recovery layer (see [`crate::recover`]): on a
-    /// retryable [`SimError`] the launch is rolled back to a pre-attempt
-    /// buffer checkpoint and relaunched under the policy's backoff and
-    /// eviction rules, and [`RunArtifacts::recovery`] reports what happened.
-    /// With no policy armed, execution takes exactly the historical path and
-    /// every artifact is byte-identical to it.
-    pub const fn recovery(mut self, policy: crate::recover::RecoveryPolicy) -> RunOptions {
-        self.recovery = Some(policy);
-        self
-    }
-
     pub const fn wants_check(&self) -> bool {
         self.check
     }
@@ -225,24 +225,6 @@ impl RunOptions {
     pub const fn wants_profile(&self) -> bool {
         self.profile
     }
-
-    pub fn recovery_policy(&self) -> Option<&crate::recover::RecoveryPolicy> {
-        self.recovery.as_ref()
-    }
-
-    /// The options one recovery attempt runs under: same instruments, the
-    /// attempt's (possibly disarmed or rank-compacted) fault
-    /// plan, and no recovery policy — the inner `execute` must not recurse
-    /// into the recovery layer.
-    pub(crate) fn for_recovery_attempt(
-        &self,
-        faults: Option<crate::fault::FaultPlan>,
-    ) -> RunOptions {
-        let mut opts = self.clone();
-        opts.faults = faults;
-        opts.recovery = None;
-        opts
-    }
 }
 
 /// Everything a run produced. `report` is always present; the optional
@@ -258,10 +240,6 @@ pub struct RunArtifacts {
     pub trace: Option<Vec<TraceEvent>>,
     /// Syncprof counters (`Some` iff profiling was requested).
     pub profile: Option<ProfileReport>,
-    /// What the recovery layer did (`Some` iff a [`RunOptions::recovery`]
-    /// policy was armed — even for a clean first attempt, so callers can
-    /// tell "no recovery armed" from "armed but unneeded").
-    pub recovery: Option<crate::recover::RecoveryReport>,
 }
 
 impl RunArtifacts {
@@ -325,27 +303,6 @@ impl GpuSystem {
 
     pub fn num_gpus(&self) -> usize {
         self.topology.num_gpus
-    }
-
-    /// Snapshot every buffer — the checkpoint the recovery layer takes
-    /// before a launch's first attempt (see [`crate::mem::MemCheckpoint`]
-    /// for the byte-exactness argument).
-    pub fn checkpoint(&self) -> crate::mem::MemCheckpoint {
-        crate::mem::MemCheckpoint {
-            bufs: self.bufs.clone(),
-        }
-    }
-
-    /// Restore every buffer from `ck`, byte-exactly. The checkpoint must
-    /// come from this system's current allocation epoch (same buffer count);
-    /// restoring someone else's checkpoint would silently remap ids.
-    pub fn restore(&mut self, ck: &crate::mem::MemCheckpoint) {
-        assert_eq!(
-            self.bufs.len(),
-            ck.num_buffers(),
-            "checkpoint is from a different allocation epoch"
-        );
-        self.bufs.clone_from(&ck.bufs);
     }
 
     /// Drop all device memory, returning the system to its just-constructed
@@ -464,16 +421,11 @@ impl GpuSystem {
     /// — they belong to the `cuda-rt` stream model.
     ///
     /// Instrumentation (checking, tracing, profiling) is selected by `opts`;
-    /// see [`RunOptions`]. A launch built with [`GridLaunch::checked`] arms
+    /// see [`RunOptions`]. A launch whose `checked` field is set arms
     /// checking regardless of `opts`. Detected hazards always come back as
     /// *data* in [`RunArtifacts::hazards`] — `execute` only errors on
     /// invalid launches, faults, deadlock, or static-lint rejections.
     pub fn execute(&mut self, launch: &GridLaunch, opts: &RunOptions) -> SimResult<RunArtifacts> {
-        if let Some(policy) = opts.recovery_policy() {
-            // The recovery layer wraps this same entry point with attempt
-            // options that carry no policy, so the recursion is one level.
-            return crate::recover::execute_with_recovery(self, launch, opts, policy);
-        }
         let check = opts.wants_check() || launch.checked;
         self.validate_with(launch, check)?;
         let arts = Engine::new(self, launch, opts, check).run_full()?;
@@ -745,12 +697,11 @@ mod tests {
         let k = b.build(0);
         // Unchecked: the engine itself tolerates this (lanes converge on the
         // barrier's warp arrival rules), so only checking rejects it. Arm
-        // checking both ways: via options and via the legacy launch flag.
+        // checking both ways: via options and via the launch's own flag.
         let l = GridLaunch::single(k, 1, 32, vec![]);
-        for (launch, opts) in [
-            (l.clone(), RunOptions::new().check()),
-            (l.checked(), RunOptions::new()),
-        ] {
+        let mut flagged = l.clone();
+        flagged.checked = true;
+        for (launch, opts) in [(l, RunOptions::new().check()), (flagged, RunOptions::new())] {
             match sys.execute(&launch, &opts) {
                 Err(SimError::InvalidLaunch(msg)) => {
                     assert!(msg.contains("barrier-divergence"), "{msg}");

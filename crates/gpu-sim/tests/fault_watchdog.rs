@@ -7,7 +7,7 @@ use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::isa::{Instr, KernelBuilder, Operand::*, Special};
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::{FaultPlan, GpuSystem, GridLaunch, LaunchKind, RunOptions};
+use gpu_sim::{FaultPlan, GpuSystem, GridLaunch, RunOptions};
 use sim_core::{Ps, SimError, StuckKind};
 
 fn v100_small(sms: u32) -> GpuArch {
@@ -21,15 +21,13 @@ const BUDGET: Ps = Ps(10_000_000);
 
 /// A multi-device launch over `devices`, mirroring the §VIII-B probes.
 fn mgrid_launch(kernel: gpu_sim::Kernel, grid_dim: u32, block_dim: u32) -> GridLaunch {
-    GridLaunch {
+    GridLaunch::multi(
         kernel,
         grid_dim,
         block_dim,
-        kind: LaunchKind::CooperativeMultiDevice,
-        devices: vec![0, 1],
-        params: vec![vec![], vec![]],
-        checked: false,
-    }
+        vec![0, 1],
+        vec![vec![], vec![]],
+    )
 }
 
 // ---------- watchdog: livelocks at each barrier scope -------------------------

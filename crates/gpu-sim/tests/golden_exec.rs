@@ -1138,15 +1138,14 @@ fn prepare(c: &Case) -> (GpuSystem, GridLaunch, Vec<BufId>) {
                 .collect()
         })
         .collect();
-    let launch = GridLaunch {
-        kernel: c.kernel.clone(),
-        grid_dim: c.grid_dim,
-        block_dim: c.block_dim,
-        kind: c.kind,
-        devices: c.devices.clone(),
+    let launch = GridLaunch::new(
+        c.kernel.clone(),
+        c.grid_dim,
+        c.block_dim,
+        c.kind,
+        c.devices.clone(),
         params,
-        checked: false,
-    };
+    );
     (sys, launch, bufs)
 }
 
@@ -1342,15 +1341,8 @@ fn coalesced_access_matches_the_per_lane_loop() {
                     .collect()
             }
         };
-        let launch = GridLaunch {
-            kernel,
-            grid_dim,
-            block_dim,
-            kind: LaunchKind::Traditional,
-            devices: vec![0],
-            params: vec![bufs.iter().map(|b| b.0 as u64).collect()],
-            checked: false,
-        };
+        let params = bufs.iter().map(|b| b.0 as u64).collect();
+        let launch = GridLaunch::single(kernel, grid_dim, block_dim, params);
         let bare = outcome(sys.clone(), &launch, &bufs, &RunOptions::new());
         let checked = outcome(sys, &launch, &bufs, &RunOptions::new().check());
         assert_eq!(

@@ -5,7 +5,7 @@
 use gpu_arch::GpuArch;
 use gpu_node::NodeTopology;
 use gpu_sim::kernels::{self, SyncOp};
-use gpu_sim::recover::{classify, ErrorClass};
+use gpu_sim::recover::{self, classify, ErrorClass};
 use gpu_sim::{BufId, FaultPlan, GpuSystem, GridLaunch, KernelBuilder, RecoveryPolicy, RunOptions};
 use sim_core::{Ps, SimError};
 
@@ -49,27 +49,26 @@ fn kill_rank_1(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed).kill_block(1, 0)
 }
 
-/// Without a policy nothing changes: no report is attached. With a policy
-/// but no fault, the run is a clean single attempt whose every artifact
-/// byte matches the unwrapped golden run.
+/// A plain `execute` takes no recovery path. With a policy but no fault,
+/// `recover::execute` makes one clean attempt whose every artifact byte
+/// matches the plain golden run.
 #[test]
 fn clean_policy_is_transparent_and_zero_policy_is_untouched() {
     let mut a = sys();
     let (la, ba) = chain_launch(&mut a, 4);
     let plain = a.execute(&la, &RunOptions::new()).unwrap();
-    assert!(plain.recovery.is_none());
 
     let mut b = sys();
     let (lb, bb) = chain_launch(&mut b, 4);
-    let armed = b
-        .execute(
-            &lb,
-            &RunOptions::new().recovery(RecoveryPolicy::new().seeded(7)),
-        )
-        .unwrap();
+    let (armed, rec) = recover::execute(
+        &mut b,
+        &lb,
+        &RunOptions::new(),
+        &RecoveryPolicy::new().seeded(7),
+    )
+    .unwrap();
     assert_eq!(plain.report, armed.report);
     assert_eq!(words(&a, &ba), words(&b, &bb));
-    let rec = armed.recovery.expect("policy attaches a report");
     assert!(!rec.recovered);
     assert_eq!(rec.attempts.len(), 1);
     assert!(rec.attempts[0].error.is_none());
@@ -77,7 +76,6 @@ fn clean_policy_is_transparent_and_zero_policy_is_untouched() {
     assert_eq!(rec.recovery_cost, Ps::ZERO);
     assert_eq!(rec.effective_ranks, 4);
     assert!(rec.evicted_ranks.is_empty());
-    assert!(!rec.degraded());
 }
 
 /// A transient killed block deadlocks attempt 0; the layer restores the
@@ -92,14 +90,12 @@ fn transient_kill_retries_to_the_exact_clean_result() {
 
     let mut s = sys();
     let (l, bufs) = chain_launch(&mut s, 4);
-    let opts = RunOptions::new()
-        .faults(kill_rank_1(7))
-        .recovery(RecoveryPolicy::new().seeded(7).transient(1));
-    let arts = s.execute(&l, &opts).unwrap();
+    let opts = RunOptions::new().faults(kill_rank_1(7));
+    let policy = RecoveryPolicy::new().seeded(7).transient(1);
+    let (arts, rec) = recover::execute(&mut s, &l, &opts, &policy).unwrap();
     assert_eq!(clean.report, arts.report);
     assert_eq!(words(&golden, &bg), words(&s, &bufs));
 
-    let rec = arts.recovery.unwrap();
     assert!(rec.recovered);
     assert_eq!(rec.attempts.len(), 2);
     assert!(
@@ -129,15 +125,12 @@ fn persistent_kill_evicts_the_dead_rank_at_2_4_6_gpus() {
     for gpus in [2usize, 4, 6] {
         let mut s = sys();
         let (l, _) = chain_launch(&mut s, gpus);
-        let opts = RunOptions::new()
-            .faults(kill_rank_1(7))
-            .recovery(RecoveryPolicy::new().seeded(7));
-        let arts = s.execute(&l, &opts).unwrap();
-        let rec = arts.recovery.unwrap();
+        let opts = RunOptions::new().faults(kill_rank_1(7));
+        let policy = RecoveryPolicy::new().seeded(7);
+        let (arts, rec) = recover::execute(&mut s, &l, &opts, &policy).unwrap();
         assert_eq!(rec.evicted_ranks, vec![1], "{gpus} GPUs");
         assert_eq!(rec.evicted_devices, vec![1], "{gpus} GPUs");
         assert_eq!(rec.effective_ranks, gpus - 1);
-        assert!(rec.degraded());
         assert_eq!(rec.attempts.len(), 2);
         // The successful attempt ran on every device but the evicted one.
         let survivors: Vec<usize> = (0..gpus).filter(|&d| d != 1).collect();
@@ -164,10 +157,8 @@ fn exhausted_retries_surface_the_error_and_roll_back_memory() {
         let mut s = sys();
         let (l, bufs) = chain_launch(&mut s, 4);
         let before = words(&s, &bufs);
-        let opts = RunOptions::new()
-            .faults(kill_all.clone())
-            .recovery(exhausting);
-        match s.execute(&l, &opts) {
+        let opts = RunOptions::new().faults(kill_all.clone());
+        match recover::execute(&mut s, &l, &opts, &exhausting) {
             Err(SimError::Deadlock { faults, .. }) => {
                 assert!(faults.is_some(), "the surfaced error keeps its fingerprint");
             }
@@ -177,10 +168,8 @@ fn exhausted_retries_surface_the_error_and_roll_back_memory() {
     }
     let mut s = sys();
     let (l, _) = chain_launch(&mut s, 4);
-    let opts = RunOptions::new()
-        .faults(kill_all)
-        .recovery(policy.transient(2));
-    let rec = s.execute(&l, &opts).unwrap().recovery.unwrap();
+    let opts = RunOptions::new().faults(kill_all);
+    let (_, rec) = recover::execute(&mut s, &l, &opts, &policy.transient(2)).unwrap();
     assert_eq!(rec.attempts.len(), 3);
     assert!(rec.attempts[..2].iter().all(|a| a.error.is_some()));
     assert!(
@@ -213,8 +202,7 @@ fn fatal_errors_fail_fast_without_attempts() {
     let mut s = sys();
     let (mut l, _) = chain_launch(&mut s, 2);
     l.grid_dim = 0;
-    let opts = RunOptions::new().recovery(RecoveryPolicy::new());
-    match s.execute(&l, &opts) {
+    match recover::execute(&mut s, &l, &RunOptions::new(), &RecoveryPolicy::new()) {
         Err(SimError::InvalidLaunch(_)) => {}
         other => panic!("expected invalid launch, got {other:?}"),
     }

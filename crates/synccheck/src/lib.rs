@@ -106,8 +106,8 @@ pub struct AuditEntry {
     /// check).
     pub bound_params: usize,
     /// Builds a small representative system + launch for the dynamic
-    /// racecheck; `None` for kernels with no runnable small shape.
-    pub dynamic: Option<fn(Kernel) -> (GpuSystem, GridLaunch)>,
+    /// racecheck.
+    pub dynamic: fn(Kernel) -> (GpuSystem, GridLaunch),
 }
 
 fn small_arch() -> gpu_arch::GpuArch {
@@ -215,81 +215,40 @@ fn dyn_pingpong(kernel: Kernel) -> (GpuSystem, GridLaunch) {
 /// exported by [`gpu_sim::kernels`], each at least once.
 pub fn registry() -> Vec<AuditEntry> {
     let mut entries: Vec<AuditEntry> = Vec::new();
-    let mut push = |kernel: Kernel,
-                    bound_params: usize,
-                    dynamic: Option<fn(Kernel) -> (GpuSystem, GridLaunch)>| {
-        entries.push(AuditEntry {
-            kernel,
-            bound_params,
-            dynamic,
-        });
-    };
-    push(kernels::null_kernel(), 0, Some(dyn_plain));
-    push(kernels::sleep_kernel(500), 0, Some(dyn_plain));
-    push(kernels::fadd32_chain(32), 1, Some(dyn_clocked));
-    push(
-        kernels::sync_chain(SyncOp::Tile(32), 8),
-        1,
-        Some(dyn_clocked),
-    );
-    push(
-        kernels::sync_chain(SyncOp::Coalesced, 8),
-        1,
-        Some(dyn_clocked),
-    );
-    push(
-        kernels::sync_chain(SyncOp::ShflTile, 8),
-        1,
-        Some(dyn_clocked),
-    );
+    let mut push =
+        |kernel: Kernel, bound_params: usize, dynamic: fn(Kernel) -> (GpuSystem, GridLaunch)| {
+            entries.push(AuditEntry {
+                kernel,
+                bound_params,
+                dynamic,
+            });
+        };
+    push(kernels::null_kernel(), 0, dyn_plain);
+    push(kernels::sleep_kernel(500), 0, dyn_plain);
+    push(kernels::fadd32_chain(32), 1, dyn_clocked);
+    push(kernels::sync_chain(SyncOp::Tile(32), 8), 1, dyn_clocked);
+    push(kernels::sync_chain(SyncOp::Coalesced, 8), 1, dyn_clocked);
+    push(kernels::sync_chain(SyncOp::ShflTile, 8), 1, dyn_clocked);
     push(
         kernels::sync_chain(SyncOp::ShflCoalesced, 8),
         1,
-        Some(dyn_clocked),
+        dyn_clocked,
     );
-    push(kernels::sync_chain(SyncOp::Block, 8), 1, Some(dyn_clocked));
-    push(
-        kernels::sync_chain(SyncOp::Grid, 4),
-        1,
-        Some(dyn_clocked_coop),
-    );
-    push(
-        kernels::sync_chain(SyncOp::MultiGrid, 2),
-        1,
-        Some(dyn_multi),
-    );
-    push(
-        kernels::sync_throughput(SyncOp::Block, 8),
-        0,
-        Some(dyn_plain),
-    );
-    push(
-        kernels::sync_throughput(SyncOp::Tile(16), 8),
-        0,
-        Some(dyn_plain),
-    );
-    push(
-        kernels::coalesced_partial_chain(16, 8),
-        1,
-        Some(dyn_clocked_warp),
-    );
-    push(
-        kernels::coalesced_partial_throughput(16, 8),
-        0,
-        Some(dyn_plain),
-    );
-    push(kernels::warp_probe(), 2, Some(dyn_warp_probe));
-    push(kernels::stream_kernel(2), 3, Some(dyn_stream));
-    push(kernels::stream_kernel_eff(0, 700), 3, Some(dyn_stream));
-    push(
-        kernels::smem_stream_kernel(64, 32),
-        1,
-        Some(dyn_smem_stream),
-    );
-    push(kernels::mutex_chain(4), 2, Some(dyn_mutex));
-    push(kernels::semaphore_chain(2, 4), 2, Some(dyn_semaphore));
-    push(kernels::spin_barrier_chain(4), 2, Some(dyn_spin_barrier));
-    push(kernels::flag_pingpong_chain(4), 2, Some(dyn_pingpong));
+    push(kernels::sync_chain(SyncOp::Block, 8), 1, dyn_clocked);
+    push(kernels::sync_chain(SyncOp::Grid, 4), 1, dyn_clocked_coop);
+    push(kernels::sync_chain(SyncOp::MultiGrid, 2), 1, dyn_multi);
+    push(kernels::sync_throughput(SyncOp::Block, 8), 0, dyn_plain);
+    push(kernels::sync_throughput(SyncOp::Tile(16), 8), 0, dyn_plain);
+    push(kernels::coalesced_partial_chain(16, 8), 1, dyn_clocked_warp);
+    push(kernels::coalesced_partial_throughput(16, 8), 0, dyn_plain);
+    push(kernels::warp_probe(), 2, dyn_warp_probe);
+    push(kernels::stream_kernel(2), 3, dyn_stream);
+    push(kernels::stream_kernel_eff(0, 700), 3, dyn_stream);
+    push(kernels::smem_stream_kernel(64, 32), 1, dyn_smem_stream);
+    push(kernels::mutex_chain(4), 2, dyn_mutex);
+    push(kernels::semaphore_chain(2, 4), 2, dyn_semaphore);
+    push(kernels::spin_barrier_chain(4), 2, dyn_spin_barrier);
+    push(kernels::flag_pingpong_chain(4), 2, dyn_pingpong);
     entries
 }
 
@@ -305,8 +264,6 @@ pub struct AuditFinding {
 /// Outcome of the dynamic racecheck for one registry kernel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RacecheckOutcome {
-    /// The kernel has no representative small launch.
-    NotRun,
     /// The checked run completed; the report may still carry hazards.
     Ran(HazardReport),
     /// The checked run itself failed (simulation error).
@@ -378,7 +335,6 @@ impl AuditReport {
         let mut s = String::from("# synccheck registry audit\n\n");
         for k in &self.kernels {
             let dynamic = match &k.racecheck {
-                RacecheckOutcome::NotRun => "not run".to_string(),
                 RacecheckOutcome::Ran(hz) if hz.is_clean() => "clean".to_string(),
                 RacecheckOutcome::Ran(hz) => format!("{} hazard(s)", hz.total()),
                 RacecheckOutcome::Failed(e) => format!("failed ({e})"),
@@ -428,7 +384,7 @@ impl AuditReport {
     }
 }
 
-/// Audit one kernel: static lint under its launch context, optional dynamic
+/// Audit one kernel: static lint under its launch context, then the dynamic
 /// racecheck.
 pub fn audit_entry(entry: &AuditEntry) -> KernelAudit {
     let diags = check_launch(&entry.kernel, entry.bound_params);
@@ -443,15 +399,10 @@ pub fn audit_entry(entry: &AuditEntry) -> KernelAudit {
             }
         })
         .collect();
-    let racecheck = match entry.dynamic {
-        None => RacecheckOutcome::NotRun,
-        Some(mk) => {
-            let (mut sys, launch) = mk(entry.kernel.clone());
-            match run_racecheck(&mut sys, &launch) {
-                Ok(hz) => RacecheckOutcome::Ran(hz),
-                Err(e) => RacecheckOutcome::Failed(e.to_string()),
-            }
-        }
+    let (mut sys, launch) = (entry.dynamic)(entry.kernel.clone());
+    let racecheck = match run_racecheck(&mut sys, &launch) {
+        Ok(hz) => RacecheckOutcome::Ran(hz),
+        Err(e) => RacecheckOutcome::Failed(e.to_string()),
     };
     KernelAudit {
         name: entry.kernel.name.clone(),
@@ -622,14 +573,12 @@ mod tests {
 
     #[test]
     fn every_registry_entry_gets_a_dynamic_run() {
-        // Keeping the dynamic column populated is part of the audit's value;
-        // a new kernel may opt out (None), but the current set all run.
+        // Keeping the dynamic column populated is part of the audit's value.
         let report = audit();
         for k in &report.kernels {
             match &k.racecheck {
                 RacecheckOutcome::Ran(hz) => assert!(hz.is_clean(), "{}: {hz:?}", k.name),
                 RacecheckOutcome::Failed(e) => panic!("{}: dynamic run failed: {e}", k.name),
-                RacecheckOutcome::NotRun => panic!("{}: no dynamic run", k.name),
             }
         }
     }

@@ -103,15 +103,7 @@ fn main() {
         b.multi_grid_sync();
         b.label("out");
         b.exit();
-        let launch = GridLaunch {
-            kernel: b.build(0),
-            grid_dim: 4,
-            block_dim: 32,
-            kind: LaunchKind::CooperativeMultiDevice,
-            devices: vec![0, 1],
-            params: vec![vec![], vec![]],
-            checked: false,
-        };
+        let launch = GridLaunch::multi(b.build(0), 4, 32, vec![0, 1], vec![vec![], vec![]]);
         let r = GpuSystem::new(arch.clone(), NodeTopology::dgx1_v100())
             .execute(&launch, &RunOptions::new());
         outcome("multi-grid: 1 of 2 GPUs multi_grid.sync", r);

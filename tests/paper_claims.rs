@@ -102,15 +102,13 @@ fn multi_device_launch_gates_on_all_streams() {
         GridLaunch::single(gpu_sim::kernels::sleep_kernel(100_000), 1, 32, vec![]).on_device(3);
     h.launch(0, &busy, &RunOptions::new()).unwrap();
     // A multi-device launch over devices {0..4} must start after it.
-    let multi = GridLaunch {
-        kernel: gpu_sim::kernels::null_kernel(),
-        grid_dim: 1,
-        block_dim: 32,
-        kind: LaunchKind::CooperativeMultiDevice,
-        devices: vec![0, 1, 2, 3],
-        params: vec![vec![]; 4],
-        checked: false,
-    };
+    let multi = GridLaunch::multi(
+        gpu_sim::kernels::null_kernel(),
+        1,
+        32,
+        vec![0, 1, 2, 3],
+        vec![vec![]; 4],
+    );
     let rec = h.launch(0, &multi, &RunOptions::new()).unwrap().record;
     assert!(
         rec.begin.as_us() >= 100.0,
